@@ -3,6 +3,7 @@ two-mode squeezing, and a positive-P Monte Carlo cross-check."""
 
 __version__ = "0.1.0"
 
+from .dynamics import adiabatic_pump, drift_field
 from .entanglement import (MomentSet, VarianceReport, moments_above,
                            moments_below, optimal_angle_sum, unitary_minimum,
                            unitary_moments, unitary_variance, variance_above,
@@ -16,10 +17,9 @@ from .fluctuations import (AboveThresholdMatrices, BelowThresholdMatrices,
                            stationary_covariance_below, temporal_corr_above,
                            temporal_corr_below)
 from .montecarlo import (EnsembleEstimate, PhaseHistogram, SimConfig,
-                         TrajectoryRecord, TrajectoryState, adiabatic_pump,
-                         drift_field, ensemble_moments, integrate_trajectory,
-                         moment_label, noise_increment, parse_moment_spec,
-                         phase_histogram)
+                         TrajectoryRecord, TrajectoryState, ensemble_moments,
+                         integrate_trajectory, moment_label, noise_increment,
+                         parse_moment_spec, phase_histogram, sample_ensemble)
 from .params import (DerivedScales, QuadratureAngles, SystemParams,
                      derive_scales, locking_feasible, wrap_angle)
 from .steady import (CriticalPoints, SteadyStateBranch, critical_points,

@@ -28,8 +28,7 @@ import numpy as np
 from . import __version__
 from .entanglement import unitary_variance, variance_steady
 from .errors import (EstimationError, ParameterDomainError, RegimeError)
-from .montecarlo import (SimConfig, ensemble_moments, parse_moment_spec,
-                         phase_histogram)
+from .montecarlo import SimConfig, parse_moment_spec, sample_ensemble
 from .params import SystemParams, derive_scales, locking_feasible
 from .steady import critical_points, output_rates, replace_pump, steady_state
 
@@ -251,9 +250,9 @@ def cmd_mc(ns: argparse.Namespace) -> int:
     params, scales = replace_pump(params, derive_scales(params), eps)
     config = build_sim_config(ns)
     specs = [s.strip() for s in ns.moments.split(",") if s.strip()]
-    estimates = ensemble_moments(params, scales, config,
-                                 [parse_moment_spec(s) for s in specs],
-                                 n_workers=ns.workers)
+    estimates, hist = sample_ensemble(params, scales, config,
+                                      [parse_moment_spec(s) for s in specs],
+                                      n_workers=ns.workers, phases=ns.phases)
     # worker count deliberately left out of the header: results are
     # bitwise identical for any worker count, and so must be the file
     header = _header(ns, params, {
@@ -269,8 +268,7 @@ def cmd_mc(ns: argparse.Namespace) -> int:
     out = None if ns.output == "-" else _outdir(ns) / (ns.output or "mc.csv")
     _write_csv(out, header, columns, rows)
 
-    if ns.phases:
-        hist = phase_histogram(params, scales, config, n_workers=ns.workers)
+    if hist is not None:
         rows = [[fmt(lo), fmt(hi), str(cd), str(cs)]
                 for lo, hi, cd, cs in zip(hist.edges[:-1], hist.edges[1:],
                                           hist.counts_diff, hist.counts_sum)]

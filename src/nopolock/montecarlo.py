@@ -1,28 +1,27 @@
 """Positive-P Monte Carlo integrator for the full nonlinear stochastic model.
 
-Trajectories live in the doubled phase space ``(alpha1, alpha2, beta1,
-beta2)`` of independent complex amplitudes; normal-ordered operator
-moments equal stochastic averages of the corresponding ``beta``/``alpha``
-products.  The integrator is explicit Ito Euler-Maruyama with the
-pairwise noise factorization
+States live in the doubled phase space ``(alpha1, alpha2, beta1, beta2)``;
+normal-ordered moments are averages of ``beta``/``alpha`` products.  The
+scheme is explicit Ito Euler-Maruyama; the noise pairs ``R1,2 = sqrt(c/2)
+(xi1 +- i xi2)``, ``c = eps - lam*alpha1*alpha2`` (``cb`` for the betas,
+principal root) realize both nonzero correlators with four real Gaussians.
+Diverged trajectories are frozen inside the bound, excluded from averages
+and counted; estimates abort beyond :data:`MAX_DISCARD_FRACTION`.
 
-    R1 = sqrt(c/2) (xi1 + i xi2),  R2 = sqrt(c/2) (xi1 - i xi2),
-    c  = eps - lam * alpha1 * alpha2,
+Engine: one loop, :func:`_integrate`, advances a ``(4, W)`` array with a
+fused step (``c dt`` and ``cb dt`` formed once, ``dt`` folded into the
+coefficients, preallocated buffers, the ``alive`` mask applied only after a
+first divergence, the divergence test on every step) and feeds accumulators:
+moment sums and phase histograms for :func:`sample_ensemble`, or the
+recorder of :func:`integrate_trajectory`.  ``dynamics.drift_field`` and
+:func:`noise_increment` are the reference definitions of the step.
 
-(and an analogous independent pair for the beta variables), which realizes
-the two nonzero noise correlators of the model with four real Gaussians
-per step.  The complex square root takes the principal branch; any fixed
-branch gives the same second moments.
-
-Divergent trajectories (a known feature of positive-P sampling) are
-frozen at the divergence bound, excluded from every average and counted;
-estimates abort when more than :data:`MAX_DISCARD_FRACTION` of the
-ensemble is lost.
-
-Determinism: trajectory noise comes from counter-based Philox streams
-keyed by ``(seed, chunk_index)`` where chunks have the fixed size
-``SimConfig.chunk_size``; the reduction over chunks runs in index order,
-so results are bitwise reproducible for any worker count.
+Lanes and determinism: trajectory ``i`` is in chunk ``i // chunk_size``, and
+chunk ``j`` draws one ``(4, width_j)`` normal array per step from the Philox
+stream keyed by ``(seed, j)``.  A job of at most :data:`MAX_CHUNKS_PER_JOB`
+contiguous chunks runs side by side as one wide array, each chunk in its own lanes.
+Every operation is elementwise per lane and per-lane results join in chunk
+order before any reduction, so results are bitwise equal for any worker count.
 """
 
 from __future__ import annotations
@@ -33,18 +32,20 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .dynamics import adiabatic_pump, drift_field  # re-exported  # noqa: F401
 from .errors import EstimationError, ParameterDomainError
 from .params import DerivedScales, SystemParams
 
 #: estimates abort when the diverged-trajectory fraction exceeds this
 MAX_DISCARD_FRACTION = 0.01
 
+#: bounds of an engine call's memory: chunks side by side, steps per noise draw
+MAX_CHUNKS_PER_JOB = 8
+NOISE_BLOCK_STEPS = 10
+
 #: exponent tuples (alpha1, alpha2, beta1, beta2) for common observables
 MOMENT_ALIASES: dict[str, tuple[int, int, int, int]] = {
     "a1": (1, 0, 0, 0), "a2": (0, 1, 0, 0), "b1": (0, 0, 1, 0), "b2": (0, 0, 0, 1),
     "n1": (1, 0, 1, 0), "n2": (0, 1, 0, 1),
-    "b1a1": (1, 0, 1, 0), "b2a2": (0, 1, 0, 1),
     "a1a2": (1, 1, 0, 0), "b1b2": (0, 0, 1, 1),
     "a1sq": (2, 0, 0, 0), "a2sq": (0, 2, 0, 0),
     "b1a2": (0, 1, 1, 0), "b2a1": (1, 0, 0, 1),
@@ -55,6 +56,7 @@ MOMENT_ALIASES: dict[str, tuple[int, int, int, int]] = {
 class SimConfig:
     """Integration and ensemble settings.
 
+    ``t_max`` must be a whole number of steps ``dt`` (to 1e-9 relative).
     ``chunk_size`` is part of the noise-stream layout: trajectory ``i``
     draws from the Philox stream keyed by ``(seed, i // chunk_size)``, so
     changing it changes the realization (not the statistics).
@@ -71,16 +73,26 @@ class SimConfig:
     chunk_size: int = 512
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ParameterDomainError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ParameterDomainError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (0 < self.t_max < math.inf and 0 <= self.burn_in < math.inf):
+            raise ParameterDomainError(f"need finite t_max > 0 and burn_in >= 0, got "
+                                       f"t_max = {self.t_max!r}, burn_in = {self.burn_in!r}")
+        if abs(self.t_max - round(self.t_max / self.dt) * self.dt) > 1e-9 * self.t_max:
+            raise ParameterDomainError(
+                f"t_max = {self.t_max!r} is not a whole number of steps dt = {self.dt!r}")
         if self.n_traj < 2:
             raise ParameterDomainError("n_traj must be at least 2")
-        if self.divergence_bound <= 0:
+        if not self.divergence_bound > 0:
             raise ParameterDomainError("divergence_bound must be positive")
         if self.scheme != "euler-ito":
             raise ParameterDomainError(f"unknown integration scheme {self.scheme!r}")
         if self.sample_every < 1 or self.chunk_size < 1:
             raise ParameterDomainError("sample_every and chunk_size must be >= 1")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_max / self.dt))
 
 
 @dataclass(frozen=True)
@@ -160,8 +172,7 @@ def noise_increment(state: np.ndarray, params: SystemParams, scales: DerivedScal
     """
     if dt <= 0:
         raise ParameterDomainError("dt must be positive")
-    state = np.asarray(state, dtype=complex)
-    a1, a2, b1, b2 = state
+    a1, a2, b1, b2 = np.asarray(state, dtype=complex)
     c = scales.eps - scales.lam * a1 * a2
     cb = scales.eps - scales.lam * b1 * b2
     xi = rng.standard_normal((4,) + np.shape(a1))
@@ -176,147 +187,95 @@ def noise_increment(state: np.ndarray, params: SystemParams, scales: DerivedScal
     return inc * math.sqrt(dt)
 
 
-def _advance(state: np.ndarray, alive: np.ndarray, params: SystemParams,
-             scales: DerivedScales, config: SimConfig, rng: np.random.Generator,
-             noiseless: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One Euler-Maruyama step; diverged trajectories stay frozen."""
-    inc = drift_field(state, params, scales) * config.dt
-    if not noiseless:
-        inc = inc + noise_increment(state, params, scales, config.dt, rng)
-    new = state + inc * alive
-    with np.errstate(invalid="ignore"):
-        bad = ~(np.abs(new).max(axis=0) <= config.divergence_bound)
-    alive = alive & ~bad
-    return np.where(alive, new, state), alive
+def _integrate(params: SystemParams, scales: DerivedScales, config: SimConfig, state: np.ndarray,
+               streams, visit_at, visit, noiseless: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Advance ``(4, W)`` ``state`` (overwritten) to ``t_max``; returns ``(state, alive)``.
+
+    ``streams`` pairs Philox generators with the lane slices they feed, and
+    ``visit(state, alive)`` runs after each step number in ``visit_at``.
+    """
+    dt, width = config.dt, state.shape[1]
+    g = np.array([params.gamma1 + 1j * params.delta1, params.gamma2 + 1j * params.delta2])
+    lin = (1 - dt * np.array([g, g.conj()]))[:, :, None]       # decay and detuning
+    cross = (params.chi * dt * np.array([-1j, 1j]))[:, None, None]  # chi mixing
+    x = state.reshape(2, 2, width)  # [alpha | beta][mode 1 | mode 2]
+    new, term = np.empty_like(x), np.empty_like(x)
+    c, s, z, p = (np.empty((2, width), dtype=complex) for _ in range(4))
+    steps = min(config.sample_every, NOISE_BLOCK_STEPS)
+    xi = np.empty((steps, 4, width))
+    alive, frozen = np.ones(width, dtype=bool), None
+    screen = 0.5 * config.divergence_bound  # parts within it keep every modulus in bound
+    for k0 in range(0, config.n_steps, steps):
+        block = min(steps, config.n_steps - k0)
+        for rng, lanes in ([] if noiseless else streams):  # same numbers as per-step draws
+            xi[:block, :, lanes] = rng.standard_normal((block, 4, lanes.stop - lanes.start))
+        for k in range(k0 + 1, k0 + block + 1):
+            np.multiply(x[:, 0], x[:, 1], out=c)
+            c *= -scales.lam * dt
+            c += scales.eps * dt                              # c dt, cb dt
+            np.multiply(lin, x, out=new)
+            np.multiply(cross, x[:, ::-1], out=term)
+            new += term
+            np.multiply(c[:, None], x[::-1, ::-1], out=term)  # c b2, c b1, cb a2, cb a1
+            new += term
+            if not noiseless:
+                np.multiply(c, 0.5, out=s)
+                np.sqrt(s, out=s)
+                z.real, z.imag = xi[k - k0 - 1, 0::2], xi[k - k0 - 1, 1::2]
+                new[:, 0] += np.multiply(s, z, out=p)             # s (xi0 + i xi1)
+                new[:, 1] += np.multiply(s, np.conjugate(z, out=z), out=p)
+            if frozen is not None:
+                np.copyto(new, x, where=frozen)
+            flat = new.reshape(-1).view(float)
+            if not (flat.max() <= screen and flat.min() >= -screen):
+                with np.errstate(invalid="ignore"):
+                    bad = alive & ~(np.abs(new).max(axis=(0, 1)) <= config.divergence_bound)
+                if bad.any():
+                    np.copyto(new, x, where=bad)
+                    alive &= ~bad
+                    frozen = ~alive
+            x, new = new, x
+            if k in visit_at:
+                visit(x.reshape(4, width), alive)
+    return x.reshape(4, width), alive
 
 
-def _sample_steps(config: SimConfig) -> tuple[int, list[int]]:
-    n_steps = int(round(config.t_max / config.dt))
-    burn_steps = int(math.ceil(config.burn_in / config.dt))
-    samples = [k for k in range(1, n_steps + 1)
-               if k > burn_steps and k % config.sample_every == 0]
-    return n_steps, samples
+_PHASE_EDGES = np.linspace(-math.pi, math.pi, 182)
+_FOLD_EDGES = np.append(np.arange(0.0, math.pi / 2, 0.01), math.pi / 2)
+_HIST_EDGES = (_PHASE_EDGES, _PHASE_EDGES, _PHASE_EDGES, _FOLD_EDGES)
 
 
-_PHASE_BINS = 181
-_FOLD_STEP = 0.01
+def _accumulate(state, alive, specs, sums, counts, hists) -> None:
+    """One sample time: per-lane moment products and live counts, phase histograms."""
+    counts += alive
+    for total, spec in zip(sums, specs):
+        prod = np.prod([state[row] ** p for row, p in enumerate(spec) if p], axis=0)
+        total += np.where(alive, prod, 0)
+    if hists:
+        ph1, ph2 = np.angle(state[0, alive]), np.angle(state[1, alive])
+        diff = np.angle(np.exp(1j * (ph2 - ph1)))
+        dmod = np.mod(diff, math.pi)
+        values = (diff, np.angle(np.exp(1j * (ph2 + ph1))), ph1,
+                  np.minimum(dmod, math.pi - dmod))
+        for hist, value, edges in zip(hists, values, _HIST_EDGES):
+            hist += np.histogram(value, bins=edges)[0]
 
 
-def _fold_edges() -> np.ndarray:
-    inner = np.arange(0.0, math.pi / 2, _FOLD_STEP)
-    return np.append(inner, math.pi / 2)
-
-
-def _chunk_worker(args):
-    (params, scales, config, chunk_index, width, specs, noiseless,
-     want_phase, x0) = args
-    rng = _chunk_rng(config.seed, chunk_index)
-    state = np.zeros((4, width), dtype=complex)
-    if x0 is not None:
-        state += np.asarray(x0, dtype=complex).reshape(4, 1)
-    alive = np.ones(width, dtype=bool)
-    n_steps, sample_at = _sample_steps(config)
-    sample_set = set(sample_at)
-
+def _group_worker(args):
+    """Integrate chunks ``[first, stop)`` side by side as one wide array."""
+    params, scales, config, (first, stop), specs, want_phase, noiseless, sample_at = args
+    bounds = [min(j * config.chunk_size, config.n_traj) - first * config.chunk_size
+              for j in range(first, stop + 1)]
+    streams = [(_chunk_rng(config.seed, j), slice(lo, hi))
+               for j, lo, hi in zip(range(first, stop), bounds, bounds[1:])]
+    width = bounds[-1]
     sums = np.zeros((len(specs), width), dtype=complex)
     counts = np.zeros(width, dtype=np.int64)
-    if want_phase:
-        edges = np.linspace(-math.pi, math.pi, _PHASE_BINS + 1)
-        fold_edges = _fold_edges()
-        hist_diff = np.zeros(_PHASE_BINS, dtype=np.int64)
-        hist_sum = np.zeros(_PHASE_BINS, dtype=np.int64)
-        hist_mode1 = np.zeros(_PHASE_BINS, dtype=np.int64)
-        hist_fold = np.zeros(len(fold_edges) - 1, dtype=np.int64)
-
-    for k in range(1, n_steps + 1):
-        state, alive = _advance(state, alive, params, scales, config, rng, noiseless)
-        if k not in sample_set:
-            continue
-        counts += alive
-        for j, spec in enumerate(specs):
-            prod = np.ones(width, dtype=complex)
-            for row, p in enumerate(spec):
-                if p:
-                    prod = prod * state[row] ** p
-            sums[j] += np.where(alive, prod, 0)
-        if want_phase:
-            ph1 = np.angle(state[0, alive])
-            ph2 = np.angle(state[1, alive])
-            diff = np.angle(np.exp(1j * (ph2 - ph1)))
-            tot = np.angle(np.exp(1j * (ph2 + ph1)))
-            hist_diff += np.histogram(diff, bins=edges)[0]
-            hist_sum += np.histogram(tot, bins=edges)[0]
-            hist_mode1 += np.histogram(ph1, bins=edges)[0]
-            dmod = np.mod(diff, math.pi)
-            folded = np.minimum(dmod, math.pi - dmod)
-            hist_fold += np.histogram(folded, bins=fold_edges)[0]
-
-    out = {"chunk": chunk_index, "alive": alive, "sums": sums, "counts": counts}
-    if want_phase:
-        out.update(hist_diff=hist_diff, hist_sum=hist_sum,
-                   hist_mode1=hist_mode1, hist_fold=hist_fold)
-    return out
-
-
-def _run_chunks(params, scales, config, specs, n_workers, noiseless,
-                want_phase, x0=None):
-    cs = config.chunk_size
-    n_chunks = (config.n_traj + cs - 1) // cs
-    widths = [min(cs, config.n_traj - i * cs) for i in range(n_chunks)]
-    jobs = [(params, scales, config, i, widths[i], specs, noiseless, want_phase, x0)
-            for i in range(n_chunks)]
-    if n_workers > 1 and n_chunks > 1:
-        with get_context("fork").Pool(min(n_workers, n_chunks)) as pool:
-            results = pool.map(_chunk_worker, jobs)
-    else:
-        results = [_chunk_worker(job) for job in jobs]
-    return sorted(results, key=lambda r: r["chunk"])
-
-
-def ensemble_moments(params: SystemParams, scales: DerivedScales, config: SimConfig,
-                     moment_specs, n_workers: int = 1,
-                     noiseless: bool = False) -> list[EnsembleEstimate]:
-    """Trajectory-parallel steady-state estimates of stochastic moments.
-
-    Each spec is an exponent tuple over ``(alpha1, alpha2, beta1, beta2)``
-    or an alias from :data:`MOMENT_ALIASES`.  Averages run over sample
-    times after ``burn_in`` and over never-diverged trajectories.
-
-    Raises
-    ------
-    EstimationError
-        When every trajectory diverged, when the discard fraction exceeds
-        :data:`MAX_DISCARD_FRACTION`, or when the schedule leaves no
-        samples.
-    """
-    specs = [parse_moment_spec(s) for s in moment_specs]
-    _, sample_at = _sample_steps(config)
-    if not sample_at:
-        raise EstimationError("no sample times: t_max must exceed burn_in")
-    results = _run_chunks(params, scales, config, specs, n_workers, noiseless, False)
-
-    alive = np.concatenate([r["alive"] for r in results])
-    sums = np.concatenate([r["sums"] for r in results], axis=1)
-    counts = np.concatenate([r["counts"] for r in results])
-    discard = 1.0 - alive.mean()
-    if not alive.any():
-        raise EstimationError("all trajectories diverged")
-    if discard > MAX_DISCARD_FRACTION:
-        raise EstimationError(
-            f"discard fraction {discard:.4f} exceeds {MAX_DISCARD_FRACTION:.2%}; "
-            "estimate aborted (reduce dt or pump, or raise divergence_bound)")
-
-    estimates = []
-    n_eff = int(alive.sum())
-    for j, spec in enumerate(specs):
-        per_traj = sums[j, alive] / counts[alive]
-        mean = complex(per_traj.mean())
-        scatter = math.sqrt(per_traj.real.var(ddof=1) + per_traj.imag.var(ddof=1))
-        estimates.append(EnsembleEstimate(
-            label=moment_label(spec), mean=mean,
-            std_error=scatter / math.sqrt(n_eff),
-            n_effective=n_eff, discard_fraction=float(discard)))
-    return estimates
+    hists = [np.zeros(len(e) - 1, dtype=np.int64) for e in _HIST_EDGES] if want_phase else []
+    _, alive = _integrate(params, scales, config, np.zeros((4, width), dtype=complex), streams,
+                          sample_at, lambda s, a: _accumulate(s, a, specs, sums, counts, hists),
+                          noiseless)
+    return alive, sums, counts, hists
 
 
 @dataclass(frozen=True)
@@ -352,29 +311,74 @@ class PhaseHistogram:
         return float(inside.sum() / total)
 
 
-def phase_histogram(params: SystemParams, scales: DerivedScales, config: SimConfig,
-                    n_workers: int = 1) -> PhaseHistogram:
-    """Steady-state histograms of the phase difference and phase sum."""
-    _, sample_at = _sample_steps(config)
+def sample_ensemble(params: SystemParams, scales: DerivedScales, config: SimConfig,
+                    moment_specs, n_workers: int = 1, phases: bool = False,
+                    noiseless: bool = False
+                    ) -> tuple[list[EnsembleEstimate], PhaseHistogram | None]:
+    """Moment estimates and, with ``phases``, phase histograms from one pass.
+
+    Specs are exponent tuples over ``(alpha1, alpha2, beta1, beta2)`` or
+    aliases from :data:`MOMENT_ALIASES`; averages run over sample times
+    after ``burn_in`` and never-diverged trajectories.  Raises
+    ``ParameterDomainError`` for ``n_workers < 1``, and ``EstimationError``
+    when all diverged, no sample time remains, or moments are requested and
+    the discard fraction exceeds :data:`MAX_DISCARD_FRACTION`.
+    """
+    if not isinstance(n_workers, (int, np.integer)) or n_workers < 1:
+        raise ParameterDomainError(f"n_workers must be an integer >= 1, got {n_workers!r}")
+    first = int(math.ceil(config.burn_in / config.dt)) // config.sample_every + 1
+    sample_at = set(range(first * config.sample_every, config.n_steps + 1, config.sample_every))
     if not sample_at:
         raise EstimationError("no sample times: t_max must exceed burn_in")
-    results = _run_chunks(params, scales, config, [], n_workers, False, True)
-    alive = np.concatenate([r["alive"] for r in results])
+    specs = [parse_moment_spec(s) for s in moment_specs]
+    n_chunks = -(-config.n_traj // config.chunk_size)
+    n_jobs = min(n_chunks, max(n_workers, -(-n_chunks // MAX_CHUNKS_PER_JOB)))
+    jobs = [(params, scales, config, (int(g[0]), int(g[-1]) + 1), specs, phases, noiseless,
+             sample_at) for g in np.array_split(np.arange(n_chunks), n_jobs)]
+    if n_workers > 1 and n_jobs > 1:
+        with get_context("fork").Pool(min(n_workers, n_jobs)) as pool:
+            results = pool.map(_group_worker, jobs)
+    else:
+        results = [_group_worker(job) for job in jobs]
+    alive = np.concatenate([r[0] for r in results])
+    discard = 1.0 - alive.mean()
     if not alive.any():
         raise EstimationError("all trajectories diverged")
-    hist_diff = sum(r["hist_diff"] for r in results)
-    hist_sum = sum(r["hist_sum"] for r in results)
-    hist_mode1 = sum(r["hist_mode1"] for r in results)
-    hist_fold = sum(r["hist_fold"] for r in results)
-    note = ""
-    if scales.eps <= scales.eps_th:
-        note = "below threshold: phases undefined at zero amplitude"
-    return PhaseHistogram(
-        edges=np.linspace(-math.pi, math.pi, _PHASE_BINS + 1),
-        counts_diff=hist_diff, counts_sum=hist_sum, counts_mode1=hist_mode1,
-        folded_edges=_fold_edges(), folded_counts=hist_fold,
-        n_samples=int(hist_diff.sum()),
-        discard_fraction=float(1.0 - alive.mean()), note=note)
+    if specs and discard > MAX_DISCARD_FRACTION:
+        raise EstimationError(
+            f"discard fraction {discard:.4f} exceeds {MAX_DISCARD_FRACTION:.2%}; "
+            "estimate aborted (reduce dt or pump, or raise divergence_bound)")
+    sums = np.concatenate([r[1] for r in results], axis=1)
+    per_traj = sums[:, alive] / np.concatenate([r[2] for r in results])[alive]
+    n_eff = int(alive.sum())
+    estimates = [EnsembleEstimate(
+        label=moment_label(spec), mean=complex(m.mean()),
+        std_error=math.sqrt(m.real.var(ddof=1) + m.imag.var(ddof=1)) / math.sqrt(n_eff),
+        n_effective=n_eff, discard_fraction=float(discard))
+        for spec, m in zip(specs, per_traj)]
+    if not phases:
+        return estimates, None
+    diff, tot, mode1, fold = (sum(h) for h in zip(*(r[3] for r in results)))
+    note = ("below threshold: phases undefined at zero amplitude"
+            if scales.eps <= scales.eps_th else "")
+    return estimates, PhaseHistogram(
+        edges=_PHASE_EDGES.copy(), counts_diff=diff, counts_sum=tot, counts_mode1=mode1,
+        folded_edges=_FOLD_EDGES.copy(), folded_counts=fold, n_samples=int(diff.sum()),
+        discard_fraction=float(discard), note=note)
+
+
+def ensemble_moments(params: SystemParams, scales: DerivedScales, config: SimConfig,
+                     moment_specs, n_workers: int = 1,
+                     noiseless: bool = False) -> list[EnsembleEstimate]:
+    """Steady-state moment estimates: the moment half of :func:`sample_ensemble`."""
+    return sample_ensemble(params, scales, config, moment_specs, n_workers,
+                           noiseless=noiseless)[0]
+
+
+def phase_histogram(params: SystemParams, scales: DerivedScales, config: SimConfig,
+                    n_workers: int = 1) -> PhaseHistogram:
+    """Phase histograms: the histogram half of :func:`sample_ensemble` (no discard limit)."""
+    return sample_ensemble(params, scales, config, [], n_workers, phases=True)[1]
 
 
 def integrate_trajectory(params: SystemParams, scales: DerivedScales,
@@ -387,17 +391,12 @@ def integrate_trajectory(params: SystemParams, scales: DerivedScales,
     error.  ``rng_stream`` defaults to the stream of trajectory index 0.
     """
     rng = rng_stream if rng_stream is not None else _chunk_rng(config.seed, 0)
-    state = np.zeros((4, 1), dtype=complex)
-    if x0 is not None:
-        state[:, 0] = np.asarray(x0, dtype=complex)
-    alive = np.ones(1, dtype=bool)
-    n_steps = int(round(config.t_max / config.dt))
-    times = [0.0]
+    state = np.zeros((4, 1), complex) if x0 is None else np.array(x0, complex).reshape(4, 1)
+    record_at = [k for k in range(1, config.n_steps + 1)
+                 if k % config.sample_every == 0 or k == config.n_steps]
     states = [state[:, 0].copy()]
-    for k in range(1, n_steps + 1):
-        state, alive = _advance(state, alive, params, scales, config, rng, noiseless)
-        if k % config.sample_every == 0 or k == n_steps:
-            times.append(k * config.dt)
-            states.append(state[:, 0].copy())
-    return TrajectoryRecord(times=np.array(times), states=np.array(states),
-                            diverged=bool(~alive[0]))
+    _, alive = _integrate(params, scales, config, state, [(rng, slice(0, 1))],
+                          set(record_at), lambda s, _: states.append(s[:, 0].copy()),
+                          noiseless)
+    return TrajectoryRecord(times=np.array([0, *record_at]) * config.dt,
+                            states=np.array(states), diverged=bool(~alive[0]))

@@ -151,6 +151,38 @@ class TestMcCommand:
         assert locked and float(locked[0].split("=")[1]) > 0.9
         assert columns == ["edge_lo", "edge_hi", "count_diff", "count_sum"]
 
+    def test_phases_integrate_each_chunk_once(self, tmp_path, monkeypatch):
+        from collections import Counter
+        from nopolock import montecarlo
+        streams, passes = Counter(), []
+        chunk_rng, integrate = montecarlo._chunk_rng, montecarlo._integrate
+
+        def counting_rng(seed, chunk_index):
+            streams[chunk_index] += 1
+            return chunk_rng(seed, chunk_index)
+
+        def counting_integrate(*args, **kwargs):
+            passes.append(len(args[4]))  # chunk streams in this pass
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", counting_rng)
+        monkeypatch.setattr(montecarlo, "_integrate", counting_integrate)
+        assert main(["mc", "--chi", "0.5", "--delta", "3", "--lam", "0.01",
+                     "--eps-ratio", "1.5", "--dt", "0.001", "--t-max", "0.2",
+                     "--burn-in", "0.1", "--n-traj", "64", "--chunk-size", "16",
+                     "--workers", "1", "--phases", "--outdir", str(tmp_path),
+                     "--output", "mc.csv"]) == 0
+        assert (tmp_path / "mc_phases.csv").exists()
+        assert streams == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert passes == [4]
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--workers", "0", "n_workers"), ("--workers", "-3", "n_workers"),
+        ("--t-max", "inf", "finite"), ("--dt", "nan", "finite")])
+    def test_bad_settings_exit_code(self, tmp_path, capsys, option, value, message):
+        assert main(MC_ARGS + [option, value, "--outdir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_estimation_failure_exit_code(self, tmp_path, capsys):
         code = main(["mc", "--chi", "0.5", "--delta", "3", "--lam", "0.05",
                      "--eps-ratio", "0.6", "--dt", "0.002", "--t-max", "2",

@@ -1,15 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from nopolock import (EstimationError, SimConfig, adiabatic_pump, drift_field,
-                      ensemble_moments, integrate_trajectory, mean_photon_below,
-                      moment_label, noise_increment, parse_moment_spec,
-                      phase_histogram, steady_state)
+from nopolock import (EstimationError, ParameterDomainError, PhaseHistogram,
+                      SimConfig, adiabatic_pump, drift_field, ensemble_moments,
+                      integrate_trajectory, mean_photon_below, moment_label,
+                      noise_increment, parse_moment_spec, phase_histogram,
+                      sample_ensemble, steady_state)
 from nopolock.fluctuations import above_matrices
 from nopolock.entanglement import moments_below
-from nopolock.montecarlo import _chunk_rng
+from nopolock import montecarlo
+from nopolock.montecarlo import _chunk_rng, _integrate
 
 from conftest import at_ratio, make_system
 from _fock import FockSteadyState
@@ -136,6 +139,136 @@ class TestDeterminism:
         r0_again = _chunk_rng(123, 0).standard_normal(4)
         assert not np.allclose(r0, r1)
         np.testing.assert_array_equal(r0, r0_again)
+
+
+def reference_step(state, alive, params, scales, config, rng):
+    """One Euler step from the reference drift and noise; diverged lanes stay frozen."""
+    inc = (drift_field(state, params, scales) * config.dt
+           + noise_increment(state, params, scales, config.dt, rng))
+    new = state + inc * alive
+    alive = alive & (np.abs(new).max(axis=0) <= config.divergence_bound)
+    return np.where(alive, new, state), alive
+
+
+class TestEngine:
+    """The fused, lane-batched step against the reference functions."""
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.5])
+    def test_steps_match_reference_functions(self, ratio):
+        params, scales, _ = at_ratio(*make_system(delta=3.0, chi=0.5, lam=0.05), ratio)
+        rng = np.random.default_rng(12)
+        # independent alpha and beta: a non-classical point of phase space
+        state = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        # lane 0 sits where c = eps + lam*900 makes it grow by ~1.3 per step
+        state[:, 0] = [30, -30, -30, 30]
+        config = SimConfig(dt=1e-3, t_max=2e-3, n_traj=6, burn_in=0.0,
+                           sample_every=1, divergence_bound=30.5)
+        seen = []
+        _integrate(params, scales, config, state.copy(), [(_chunk_rng(5, 0), slice(0, 6))],
+                   {1, 2}, lambda st, alive: seen.append((st.copy(), alive.copy())))
+        ref, ref_alive, ref_rng = state, np.ones(6, dtype=bool), _chunk_rng(5, 0)
+        for got, alive in seen:
+            ref, ref_alive = reference_step(ref, ref_alive, params, scales, config, ref_rng)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(alive, ref_alive)
+            np.testing.assert_array_equal(alive, [False] + [True] * 5)
+            np.testing.assert_array_equal(got[:, 0], state[:, 0])  # frozen, bitwise
+
+    def test_lane_batching_bitwise_across_workers(self):
+        # six chunks of 37 lanes, the last one ragged (15), not a SIMD multiple
+        params, scales, _ = at_ratio(*make_system(delta=3.0, chi=0.5, lam=0.05), 0.6)
+        config = SimConfig(dt=2e-3, t_max=1.0, n_traj=200, burn_in=0.5, seed=4,
+                           chunk_size=37)
+        runs = [ensemble_moments(params, scales, config, ["n1", "a1a2", (2, 0, 1, 1)],
+                                 n_workers=w) for w in (1, 2, 3)]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_frozen_lanes_bitwise_across_workers(self):
+        # a tight bound kills trajectories at scattered times
+        params, scales, _ = at_ratio(*make_system(delta=3.0, chi=0.5, lam=0.05), 0.6)
+        config = SimConfig(dt=2e-3, t_max=1.0, n_traj=200, burn_in=0.2, seed=4,
+                           chunk_size=37, divergence_bound=1.5)
+        runs = [phase_histogram(params, scales, config, n_workers=w) for w in (1, 2, 3)]
+        assert 0 < runs[0].discard_fraction < 1
+        for other in runs[1:]:
+            for field in dataclasses.fields(PhaseHistogram):
+                np.testing.assert_array_equal(getattr(other, field.name),
+                                              getattr(runs[0], field.name))
+
+    def test_one_pass_equals_separate_calls(self):
+        params, scales, _ = at_ratio(*make_system(delta=3.0, chi=0.5, lam=0.01), 1.5)
+        config = SimConfig(dt=1e-3, t_max=1.0, n_traj=96, burn_in=0.5, seed=6,
+                           chunk_size=32)
+        specs = ["n1", "a1a2"]
+        estimates, hist = sample_ensemble(params, scales, config, specs, n_workers=2,
+                                          phases=True)
+        assert estimates == ensemble_moments(params, scales, config, specs, n_workers=2)
+        separate = phase_histogram(params, scales, config, n_workers=2)
+        for field in dataclasses.fields(PhaseHistogram):
+            np.testing.assert_array_equal(getattr(hist, field.name),
+                                          getattr(separate, field.name))
+
+    def test_job_width_and_noise_block_are_bounded(self, monkeypatch):
+        # 25 chunks of 8 lanes in one worker: four jobs of 7, 6, 6 and 6 chunks
+        params, scales, _ = at_ratio(*make_system(delta=3.0, chi=0.5, lam=0.05), 0.6)
+        config = SimConfig(dt=2e-3, t_max=0.4, n_traj=200, burn_in=0.2, seed=4,
+                           chunk_size=8, sample_every=50)
+        expected = ensemble_moments(params, scales, config, ["n1", "a1a2"], n_workers=2)
+        widths, blocks = [], []
+
+        class RecordingStream:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, shape):
+                blocks.append(shape[0])
+                return self.rng.standard_normal(shape)
+
+        def recording_integrate(params, scales, config, state, streams, *args):
+            widths.append(state.shape[1])
+            streams = [(RecordingStream(rng), lanes) for rng, lanes in streams]
+            return _integrate(params, scales, config, state, streams, *args)
+
+        monkeypatch.setattr(montecarlo, "_integrate", recording_integrate)
+        got = ensemble_moments(params, scales, config, ["n1", "a1a2"], n_workers=1)
+        assert got == expected
+        assert widths == [56, 48, 48, 48]
+        assert max(widths) <= montecarlo.MAX_CHUNKS_PER_JOB * config.chunk_size
+        assert max(blocks) == montecarlo.NOISE_BLOCK_STEPS < config.sample_every
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5])
+    def test_worker_count_must_be_positive_integer(self, standard, workers):
+        params, scales = standard
+        config = SimConfig(dt=1e-3, t_max=0.1, n_traj=4, burn_in=0.0)
+        with pytest.raises(ParameterDomainError, match="n_workers"):
+            ensemble_moments(params, scales, config, ["n1"], n_workers=workers)
+        with pytest.raises(ParameterDomainError, match="n_workers"):
+            phase_histogram(params, scales, config, n_workers=workers)
+
+
+class TestSimConfigDomain:
+    @pytest.mark.parametrize("t_max", [0.0, -1.0])
+    def test_horizon_must_be_positive(self, t_max):
+        with pytest.raises(ParameterDomainError, match="t_max"):
+            SimConfig(t_max=t_max, burn_in=0.0)
+
+    def test_burn_in_must_be_non_negative(self):
+        with pytest.raises(ParameterDomainError, match="burn_in"):
+            SimConfig(t_max=-1.0, burn_in=-5.0)
+        with pytest.raises(ParameterDomainError, match="burn_in"):
+            SimConfig(t_max=1.0, burn_in=-0.5)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["dt", "t_max", "burn_in"])
+    def test_steps_and_horizon_must_be_finite(self, field, value):
+        with pytest.raises(ParameterDomainError, match=field):
+            SimConfig(**{field: value})
+
+    def test_horizon_must_be_whole_number_of_steps(self):
+        with pytest.raises(ParameterDomainError, match="whole number of steps"):
+            SimConfig(dt=0.3, t_max=1.0)
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point: still 3 steps
+        assert SimConfig(dt=0.1, t_max=0.3, burn_in=0.0).n_steps == 3
 
 
 def run_moments(params, scales, eps, specs, *, n_traj=320, dt=1e-3, t_max=20.0,
@@ -340,3 +473,5 @@ class TestSpecs:
         assert moment_label((2, 0, 0, 1)) == "a1^2*b2"
         with pytest.raises(Exception):
             parse_moment_spec("bogus")
+        with pytest.raises(ParameterDomainError):
+            parse_moment_spec("b1a1")  # duplicate of n1, removed
