@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entanglement import unitary_variance, variance_steady
+from .entanglement import unitary_variance, variance_sweep
 from .errors import (EstimationError, ParameterDomainError, RegimeError)
 from .montecarlo import SimConfig, parse_moment_spec, sample_ensemble
 from .params import SystemParams, derive_scales, locking_feasible
@@ -208,34 +208,30 @@ def cmd_steady(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _variance_rows(params, scales, ns, var, grid):
-    delta_theta = ns.delta_theta
-    rows = []
-    regime = ns.regime
-    if regime == "unitary":
+def _variance_rows(params, scales, eps, ns, var, grid):
+    if ns.regime == "unitary":
         if var != "chi_t":
             raise ParameterDomainError("unitary sweeps use the variable chi_t")
-        chi = params.chi
-        _, eps = build_params(ns)
-        for value in grid:
-            v = unitary_variance(chi, eps, value / chi, ns.sigma_theta)
-            rows.append([fmt(value), fmt(v), fmt(0.0), fmt(v), fmt(v), fmt(v * v), "ok"])
-        return rows
+        if not params.chi > 0:
+            raise ParameterDomainError(
+                "unitary sweeps measure time as chi*t and need chi > 0")
+        values = unitary_variance(params.chi, eps, grid / params.chi, ns.sigma_theta)
+        return [[fmt(x), fmt(v), fmt(0.0), fmt(v), fmt(v), fmt(v * v), "ok"]
+                for x, v in zip(grid, values)]
     if var != "eps_ratio":
         raise ParameterDomainError("steady-state sweeps use the variable eps_ratio")
-    for value in grid:
-        rep = variance_steady(params, scales, value * scales.eps_th,
-                              delta_theta, regime=regime)
-        rows.append([fmt(value), fmt(rep.V), fmt(rep.R), fmt(rep.V_plus),
-                     fmt(rep.V_minus), fmt(rep.product), rep.flag])
-    return rows
+    sweep = variance_sweep(params, scales, grid * scales.eps_th, ns.delta_theta,
+                           regime=ns.regime)
+    return [[fmt(x), fmt(v), fmt(r), fmt(vp), fmt(vm), fmt(p), flag]
+            for x, v, r, vp, vm, p, flag in zip(grid, sweep.V, sweep.R, sweep.V_plus,
+                                                sweep.V_minus, sweep.product, sweep.flag)]
 
 
 def cmd_variance(ns: argparse.Namespace) -> int:
     params, eps = build_params(ns)
     params, scales = replace_pump(params, derive_scales(params), eps)
     var, grid = parse_sweep(ns.sweep)
-    rows = _variance_rows(params, scales, ns, var, grid)
+    rows = _variance_rows(params, scales, eps, ns, var, grid)
     header = _header(ns, params, {
         "regime": ns.regime, "delta_theta": fmt(ns.delta_theta),
         "sigma_theta": fmt(ns.sigma_theta), "sweep": ns.sweep})
@@ -289,8 +285,8 @@ def _figure_curves(n: int, ns: argparse.Namespace):
         grid = np.arange(0.0, 6.0 + 1e-9, 0.005) if n == 1 else \
             np.arange(0.0, 1.2 + 1e-9, 0.002)
         for i, ratio in enumerate(FIGURE_UNITARY_RATIOS[n], 1):
-            rows = [[fmt(ct), fmt(unitary_variance(chi, ratio * chi, ct / chi))]
-                    for ct in grid]
+            values = unitary_variance(chi, ratio * chi, grid / chi)
+            rows = [[fmt(ct), fmt(v)] for ct, v in zip(grid, values)]
             yield (f"fig{n}_curve{i}.csv", {"eps_over_chi": fmt(ratio)},
                    ["chi_t", "V"], rows)
         return
@@ -298,18 +294,13 @@ def _figure_curves(n: int, ns: argparse.Namespace):
     for i, (chi, delta) in enumerate(FIGURE_STEADY_PARAMS[n], 1):
         params = SystemParams.symmetric(gamma=1.0, delta=delta, chi=chi, lam=1.0)
         scales = derive_scales(params)
-        rows = []
-        for ratio in grid:
-            rep = variance_steady(params, scales, ratio * scales.eps_th, 0.0, "auto")
-            if n == 3:
-                rows.append([fmt(ratio), fmt(rep.V), rep.flag])
-            elif n == 4:
-                rows.append([fmt(ratio), fmt(rep.V_plus), fmt(rep.V_minus), rep.flag])
-            else:
-                rows.append([fmt(ratio), fmt(rep.product), rep.flag])
+        sweep = variance_sweep(params, scales, grid * scales.eps_th, 0.0, "auto")
         columns = {3: ["eps_ratio", "V", "flag"],
                    4: ["eps_ratio", "V_plus", "V_minus", "flag"],
                    5: ["eps_ratio", "product", "flag"]}[n]
+        values = [getattr(sweep, name) for name in columns[1:-1]]
+        rows = [[fmt(ratio), *map(fmt, row), flag]
+                for ratio, *row, flag in zip(grid, *values, sweep.flag)]
         yield (f"fig{n}_curve{i}.csv", {"chi": fmt(chi), "delta": fmt(delta)},
                columns, rows)
 
@@ -419,10 +410,24 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_config(ns: argparse.Namespace) -> dict[str, str]:
+    """The ``--config`` file's values; a key the subcommand does not take is refused."""
+    if not getattr(ns, "config", None):
+        return {}
+    values = read_config_file(ns.config)
+    accepted = _PARAM_KEYS + (_SIM_KEYS if ns.command == "mc" else ())
+    unknown = [key for key in values if key not in accepted]
+    if unknown:
+        raise ParameterDomainError(
+            f"{ns.config}: unknown key(s) {', '.join(map(repr, unknown))} for "
+            f"'{ns.command}'; accepted keys: {', '.join(accepted)}")
+    return values
+
+
 def main(argv: list[str] | None = None) -> int:
     ns = make_parser().parse_args(argv)
-    ns._file_config = read_config_file(ns.config) if getattr(ns, "config", None) else {}
     try:
+        ns._file_config = _file_config(ns)
         return ns.func(ns)
     except ParameterDomainError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

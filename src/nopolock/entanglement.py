@@ -23,10 +23,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterDomainError, RegimeError, SingularParameterError
-from .fluctuations import above_matrices, equal_time_corr_below, near_threshold
+from .fluctuations import (above_matrices, equal_time_corr_below,
+                           equal_time_corr_below_stack, near_threshold)
 from .params import DerivedScales, QuadratureAngles, SystemParams, wrap_angle
-from .steady import steady_state
+from .steady import _locked_family, steady_state
 
 FLAG_OK = "ok"
 FLAG_NEAR_THRESHOLD = "linearization-unreliable"
@@ -74,31 +77,59 @@ class VarianceReport:
     flag: str = FLAG_OK
 
 
-def variances_from_moments(moments: MomentSet, angles: QuadratureAngles,
-                           flag: str = FLAG_OK) -> VarianceReport:
-    """Exact quadrature variances of a symmetric two-mode Gaussian-moment set.
+@dataclass(frozen=True)
+class VarianceSweep:
+    """Steady-state variances along a pump grid, one array entry per pump.
+
+    ``sigma_theta`` is the sum angle each point is evaluated at: the
+    minimizing angle below threshold (0 where it is free, at ``eps = 0``),
+    the locked mean-field phase sum above.  ``flag`` holds
+    :data:`FLAG_OK` or :data:`FLAG_NEAR_THRESHOLD` per point.
+    """
+
+    V: np.ndarray
+    R: np.ndarray
+    V_plus: np.ndarray
+    V_minus: np.ndarray
+    product: np.ndarray
+    sigma_theta: np.ndarray
+    flag: np.ndarray
+
+
+def _variances(n, m_aa, m_sq, m_x, sigma_theta, delta_theta: float) -> tuple:
+    """``(V, R, V_plus, V_minus, product)`` of moment arrays at the given angles.
 
     ``V_plus``/``V_minus`` follow from the second-moment expansion of
     ``V(Y1 + Y2)`` and ``V(X1 - X2)``; they obey ``V_pm = V +- R cos(delta
     theta)`` with an angle-independent ``R`` whenever the cross moment
     ``<a1+ a2>`` is real (true in every regime of this model).
     """
-    st, dt = angles.sigma_theta, angles.delta_theta
-    eis = cmath.exp(1j * st)
-    n, m_aa, m_sq, m_x = moments.n, moments.m_aa, moments.m_a1sq, moments.m_cross
-
+    eis = np.exp(1j * sigma_theta)
     V = 1 + 2 * n - 2 * (m_aa * eis).real
-    split = 2 * (m_sq * eis).real * math.cos(dt) - 2 * (m_x * cmath.exp(1j * dt)).real
-    V_minus = V + split
-    V_plus = V - split
-    if abs(math.cos(dt)) > 1e-12:
-        R = -split / math.cos(dt)
+    split = (2 * (m_sq * eis).real * math.cos(delta_theta)
+             - 2 * (m_x * cmath.exp(1j * delta_theta)).real)
+    if abs(math.cos(delta_theta)) > 1e-12:
+        R = -split / math.cos(delta_theta)
     else:
-        R = 2 * m_x.real - 2 * (m_sq * eis).real
-    product = V_plus * V_minus
+        R = 2 * np.real(m_x) - 2 * (m_sq * eis).real
+    V_plus, V_minus = V - split, V + split
+    return V, R, V_plus, V_minus, V_plus * V_minus
+
+
+def _report(V, R, V_plus, V_minus, product, angles: QuadratureAngles,
+            flag: str) -> VarianceReport:
+    V, R, V_plus, V_minus, product = map(float, (V, R, V_plus, V_minus, product))
     return VarianceReport(V=V, R=R, V_plus=V_plus, V_minus=V_minus,
                           product=product, inseparable=V < 1,
                           strong_epr=product < 0.25, angles=angles, flag=flag)
+
+
+def variances_from_moments(moments: MomentSet, angles: QuadratureAngles,
+                           flag: str = FLAG_OK) -> VarianceReport:
+    """Exact quadrature variances of a symmetric two-mode Gaussian-moment set."""
+    columns = _variances(moments.n, moments.m_aa, moments.m_a1sq, moments.m_cross,
+                         angles.sigma_theta, angles.delta_theta)
+    return _report(*columns, angles, flag)
 
 
 def optimal_angle_sum(moments: MomentSet, params: SystemParams | None = None,
@@ -153,30 +184,62 @@ def moments_above(params: SystemParams, scales: DerivedScales,
     )
 
 
-def variance_below(params: SystemParams, scales: DerivedScales, eps: float,
-                   delta_theta: float = 0.0) -> VarianceReport:
-    """Minimized-angle variances in the below-threshold regime.
+def variance_sweep(params: SystemParams, scales: DerivedScales, eps: np.ndarray | float,
+                   delta_theta: float = 0.0, regime: str = "auto") -> VarianceSweep:
+    """Steady-state variances at every pump rate of the 1-D array ``eps``.
+
+    ``regime`` is ``"below"``, ``"above"`` or ``"auto"``.  ``auto`` switches
+    at threshold; the hand-off band a relative :data:`_THRESHOLD_HANDOFF`
+    below threshold is served by the above-threshold closed forms, which
+    are exact at the (continuous) threshold limit.  Each regime is one
+    batched pass, and every runtime check of the single-pump evaluators
+    runs on every pump: below threshold the ``D F^T = F D`` identity and the
+    closed forms against ``(1/2) F^-1 D``, above it the drift residual and
+    the stability solve of the locked state.
+    """
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    edge = scales.eps_th * (1 - _THRESHOLD_HANDOFF)
+    if regime == "below":
+        below = np.ones(eps.shape, dtype=bool)
+    elif regime == "above":
+        below = np.zeros(eps.shape, dtype=bool)
+    elif regime == "auto":
+        below = eps < edge
+    else:
+        raise ParameterDomainError(f"unknown regime {regime!r}")
+    columns = np.empty((6,) + eps.shape)
+    if below.any():
+        columns[:, below] = _below_columns(params, scales, eps[below], delta_theta, edge)
+    if not below.all():
+        columns[:, ~below] = _above_columns(params, scales, eps[~below], delta_theta, edge)
+    flag = np.where(near_threshold(scales, eps), FLAG_NEAR_THRESHOLD, FLAG_OK)
+    return VarianceSweep(*columns, flag)
+
+
+def _below_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
+                   delta_theta: float, edge: float) -> tuple:
+    """Minimized-angle variances below threshold; the rows of :class:`VarianceSweep`.
 
     The usable domain stops a relative :data:`_THRESHOLD_HANDOFF` short of
     threshold: closer in, the correlator denominators cancel to roundoff
-    and the (finite, continuous) variance limits must be taken from
-    :func:`variance_above` instead.
+    and the (finite, continuous) variance limits must be taken from the
+    above-threshold closed forms instead.
     """
-    if not 0 <= eps < scales.eps_th * (1 - _THRESHOLD_HANDOFF):
-        raise RegimeError(f"eps = {eps:.6g} outside the below-threshold range "
+    outside = ~((eps >= 0) & (eps < edge))
+    if outside.any():
+        raise RegimeError(f"eps = {eps[outside][0]:.6g} outside the below-threshold range "
                           f"[0, {scales.eps_th:.6g}); at threshold use the "
                           "above-threshold evaluator for the limit values")
-    if eps == 0.0:
-        angles = QuadratureAngles.from_sums(0.0, delta_theta, params, degenerate=True)
-        return variances_from_moments(MomentSet(0.0, 0j, 0j, 0j), angles)
-    moments = moments_below(params, scales, eps)
-    angles = optimal_angle_sum(moments, params, delta_theta)
-    flag = FLAG_NEAR_THRESHOLD if near_threshold(scales, eps) else FLAG_OK
-    return variances_from_moments(moments, angles, flag=flag)
+    corr_aa, corr_ab = equal_time_corr_below_stack(params, scales, eps)
+    n, m_aa = corr_ab[:, 0, 0].real, corr_aa[:, 0, 1]
+    # sigma_theta = -arg <a1 a2>; free (taken as 0) where the pair moment vanishes
+    sigma = np.where(m_aa != 0, wrap_angle(-np.angle(m_aa)), 0.0)
+    return (*_variances(n, m_aa, corr_aa[:, 0, 0], corr_ab[:, 1, 0], sigma, delta_theta),
+            sigma)
 
 
-def variance_above(params: SystemParams, scales: DerivedScales, eps: float,
-                   delta_theta: float = 0.0) -> VarianceReport:
+def _above_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
+                   delta_theta: float, edge: float) -> tuple:
     """Variances in the locked above-threshold regime (closed forms).
 
     The local-oscillator sum angle is locked to the semiclassical phase
@@ -184,49 +247,57 @@ def variance_above(params: SystemParams, scales: DerivedScales, eps: float,
     divergences of individual correlation entries cancel in ``V`` and
     ``V_pm``.
     """
-    gamma = params.gamma1
     if not params.is_symmetric:
         raise ParameterDomainError("variance_above requires symmetric parameters")
-    delta, chi = params.delta1, params.chi
+    gamma, delta, chi = params.gamma1, params.delta1, params.chi
     if delta == 0:
         raise SingularParameterError(
             "above-threshold variances divide by |delta|; delta = 0 is singular")
-    if eps < scales.eps_th * (1 - _THRESHOLD_HANDOFF):
-        raise RegimeError(f"eps = {eps:.6g} is below threshold {scales.eps_th:.6g}")
+    short = eps < edge
+    if short.any():
+        raise RegimeError(
+            f"eps = {eps[short][0]:.6g} is below threshold {scales.eps_th:.6g}")
 
     ad = abs(delta)
-    w = math.sqrt(1 + max(0.0, eps**2 - scales.eps_th**2) / gamma**2)
+    w = np.sqrt(1 + np.maximum(0.0, eps**2 - scales.eps_th**2) / gamma**2)
     V = 0.75 - 1 / (4 * w) + chi / (4 * ad)
     R = math.copysign(1.0, delta) / 4 * (1 / w - (ad - chi) / ad)
     V_plus = V + R * math.cos(delta_theta)
     V_minus = V - R * math.cos(delta_theta)
-    product = V_plus * V_minus
 
-    if eps > scales.eps_th:
-        sigma = wrap_angle(-steady_state(params, scales, eps, "+").phase_sum)
-    else:
-        sigma = 0.0
-    angles = QuadratureAngles.from_sums(sigma, delta_theta, params)
-    flag = FLAG_NEAR_THRESHOLD if near_threshold(scales, eps) else FLAG_OK
-    return VarianceReport(V=V, R=R, V_plus=V_plus, V_minus=V_minus,
-                          product=product, inseparable=V < 1,
-                          strong_epr=product < 0.25, angles=angles, flag=flag)
+    sigma = np.zeros(eps.shape)
+    over = eps > scales.eps_th
+    if over.any():
+        phase_sum, *_ = _locked_family(params, scales, eps[over], "+")
+        sigma[over] = wrap_angle(-phase_sum)
+    return V, R, V_plus, V_minus, V_plus * V_minus, sigma
+
+
+def variance_below(params: SystemParams, scales: DerivedScales, eps: float,
+                   delta_theta: float = 0.0) -> VarianceReport:
+    """Minimized-angle variances in the below-threshold regime.
+
+    The usable domain stops a relative :data:`_THRESHOLD_HANDOFF` short of
+    threshold; closer in, use :func:`variance_above` for the limit values.
+    At ``eps = 0`` the sum angle is free: 0 is used, flagged ``degenerate``.
+    """
+    return variance_steady(params, scales, eps, delta_theta, "below")
+
+
+def variance_above(params: SystemParams, scales: DerivedScales, eps: float,
+                   delta_theta: float = 0.0) -> VarianceReport:
+    """Variances in the locked above-threshold regime (closed forms)."""
+    return variance_steady(params, scales, eps, delta_theta, "above")
 
 
 def variance_steady(params: SystemParams, scales: DerivedScales, eps: float,
                     delta_theta: float = 0.0, regime: str = "auto") -> VarianceReport:
-    """Dispatch to the regime-appropriate steady-state evaluator.
-
-    ``auto`` switches at threshold; the hand-off band immediately below
-    threshold is served by the above-threshold evaluator, whose closed
-    forms are exact at the (continuous) threshold limit.
-    """
-    below_edge = scales.eps_th * (1 - _THRESHOLD_HANDOFF)
-    if regime == "below" or (regime == "auto" and eps < below_edge):
-        return variance_below(params, scales, eps, delta_theta)
-    if regime == "above" or regime == "auto":
-        return variance_above(params, scales, eps, delta_theta)
-    raise ParameterDomainError(f"unknown regime {regime!r}")
+    """:func:`variance_sweep` at the single pump ``eps``, as a :class:`VarianceReport`."""
+    sweep = variance_sweep(params, scales, eps, delta_theta, regime)
+    angles = QuadratureAngles.from_sums(float(sweep.sigma_theta[0]), delta_theta,
+                                        params, degenerate=eps == 0)
+    return _report(sweep.V[0], sweep.R[0], sweep.V_plus[0], sweep.V_minus[0],
+                   sweep.product[0], angles, str(sweep.flag[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -236,43 +307,31 @@ def variance_steady(params: SystemParams, scales: DerivedScales, eps: float,
 _BOUNDARY_RTOL = 1e-12
 
 
-def _unitary_nm(chi: float, eps: float, t: float) -> tuple[float, complex, complex]:
-    """(n, <a1 a2>, <a1^2>) of the unitarily evolved vacuum at time ``t``."""
-    scale = max(chi, eps, 1e-300)
-    if abs(chi - eps) <= _BOUNDARY_RTOL * scale:
-        return eps**2 * t**2, eps * t + 0j, -1j * chi * eps * t**2
-    if eps < chi:
-        mu = math.sqrt(chi**2 - eps**2)
-        s, s2 = math.sin(mu * t), math.sin(2 * mu * t)
-        return eps**2 * s**2 / mu**2, eps * s2 / (2 * mu) + 0j, -1j * chi * eps * s**2 / mu**2
-    eta = math.sqrt(eps**2 - chi**2)
-    sh, sh2 = math.sinh(eta * t), math.sinh(2 * eta * t)
-    return eps**2 * sh**2 / eta**2, eps * sh2 / (2 * eta) + 0j, -1j * chi * eps * sh**2 / eta**2
-
-
-def unitary_moments(chi: float, eps: float, t: float) -> MomentSet:
-    """Moment set of the lossless zero-detuning evolution from vacuum."""
-    if t < 0:
-        raise ParameterDomainError("time must be non-negative")
-    if chi < 0 or eps < 0:
-        raise ParameterDomainError("chi and eps must be non-negative")
-    n, m_aa, m_sq = _unitary_nm(chi, eps, t)
-    return MomentSet(n=n, m_aa=m_aa, m_a1sq=m_sq, m_cross=0j)
-
-
-def unitary_variance(chi: float, eps: float, t: float,
-                     sigma_theta: float = 0.0) -> float:
+def unitary_variance(chi: float, eps: float, t: float | np.ndarray,
+                     sigma_theta: float = 0.0) -> float | np.ndarray:
     """Two-mode variance ``V`` under lossless zero-detuning evolution.
 
     Oscillatory for ``eps < chi`` (period ``pi/sqrt(chi^2 - eps^2)`` in
-    ``t``), exponentially growing for ``eps > chi``; ``V(0) = 1``.
+    ``t``), exponentially growing for ``eps > chi``; ``V(0) = 1``.  ``t``
+    may be an array of times; a scalar ``t`` gives a float.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ParameterDomainError("time must be non-negative")
     if chi < 0 or eps < 0:
         raise ParameterDomainError("chi and eps must be non-negative")
-    n, m_aa, _ = _unitary_nm(chi, eps, t)
-    return 1 + 2 * n - 2 * (m_aa * cmath.exp(1j * sigma_theta)).real
+    # photon number n and the (real) pair moment <a1 a2> of the evolved vacuum
+    if abs(chi - eps) <= _BOUNDARY_RTOL * max(chi, eps, 1e-300):
+        n, m_aa = eps**2 * t**2, eps * t
+    elif eps < chi:
+        mu = math.sqrt(chi**2 - eps**2)
+        n, m_aa = eps**2 * np.sin(mu * t)**2 / mu**2, eps * np.sin(2 * mu * t) / (2 * mu)
+    else:
+        eta = math.sqrt(eps**2 - chi**2)
+        n = eps**2 * np.sinh(eta * t)**2 / eta**2
+        m_aa = eps * np.sinh(2 * eta * t) / (2 * eta)
+    V = 1 + 2 * n - 2 * m_aa * math.cos(sigma_theta)
+    return float(V) if V.ndim == 0 else V
 
 
 def unitary_minimum(chi: float, eps: float) -> tuple[float, float]:

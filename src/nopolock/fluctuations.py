@@ -38,8 +38,6 @@ from .steady import steady_state
 #: linearized treatment is flagged unreliable
 NEAR_THRESHOLD_BAND = 0.05
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
 
 def _require_symmetric(params: SystemParams) -> tuple[float, float, float]:
     if not params.is_symmetric:
@@ -73,38 +71,66 @@ class BelowThresholdMatrices:
 def below_matrices(params: SystemParams, scales: DerivedScales,
                    eps: float) -> BelowThresholdMatrices:
     """Linearized drift and diffusion around the zero solution."""
-    gamma, delta, chi = _require_symmetric(params)
-    if eps < 0:
+    F, D = _checked_below_matrices(params, scales, np.array([eps], dtype=float))
+    gamma, delta, chi = params.gamma1, params.delta1, params.chi
+    return BelowThresholdMatrices(F=F[0], A=F[0, :2, :2], B=F[0, :2, 2:], D=D[0],
+                                  s_sq=gamma**2 + chi**2 + delta**2 - eps**2)
+
+
+def _below_matrix_stacks(params: SystemParams,
+                         eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drift ``F`` and diffusion ``D`` stacks ``(n, 4, 4)`` at the pumps ``eps``."""
+    gamma, delta, chi = params.gamma1, params.delta1, params.chi
+    F = np.zeros((eps.size, 4, 4), dtype=complex)
+    F[:, :2, :2] = [[gamma + 1j * delta, 1j * chi], [1j * chi, gamma + 1j * delta]]
+    F[:, 2:, 2:] = F[:, :2, :2].conj()
+    # B = -eps X in the off-diagonal blocks, D = eps X in the diagonal ones
+    F[:, 0, 3] = F[:, 1, 2] = F[:, 2, 1] = F[:, 3, 0] = -eps
+    D = np.zeros((eps.size, 4, 4), dtype=complex)
+    D[:, 0, 1] = D[:, 1, 0] = D[:, 2, 3] = D[:, 3, 2] = eps
+    return F, D
+
+
+def _checked_below_matrices(params: SystemParams, scales: DerivedScales,
+                            eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``F``/``D`` stacks at the 1-D pumps ``eps``, domain and identity checked.
+
+    ``D F^T = F D`` is verified at every pump, to 1e-12 of
+    ``max(1, eps * gamma)``; the first violation raises.
+    """
+    gamma, _, _ = _require_symmetric(params)
+    if np.any(eps < 0):
         raise ParameterDomainError("eps must be non-negative")
-    if eps >= scales.eps_th:
+    above = eps >= scales.eps_th
+    if above.any():
         raise RegimeError(
-            f"eps = {eps:.6g} is at or above threshold {scales.eps_th:.6g}; "
+            f"eps = {eps[above][0]:.6g} is at or above threshold {scales.eps_th:.6g}; "
             "use the above-threshold path")
-    A = np.array([[gamma + 1j * delta, 1j * chi],
-                  [1j * chi, gamma + 1j * delta]])
-    B = -eps * _X.astype(complex)
-    F = np.block([[A, B], [B.conj(), A.conj()]])
-    D = np.block([[eps * _X, np.zeros((2, 2))],
-                  [np.zeros((2, 2)), eps * _X]]).astype(complex)
-    ident = np.abs(D @ F.T - F @ D).max()
-    if ident > 1e-12 * max(1.0, eps * gamma):
-        raise AssertionError(f"drift/diffusion identity violated: {ident:.3e}")
-    s_sq = gamma**2 + chi**2 + delta**2 - eps**2
-    return BelowThresholdMatrices(F=F, A=A, B=B, D=D, s_sq=s_sq)
+    F, D = _below_matrix_stacks(params, eps)
+    ident = np.abs(D @ F.swapaxes(1, 2) - F @ D).max(axis=(1, 2))
+    bad = ident > 1e-12 * np.maximum(1.0, eps * gamma)
+    if bad.any():
+        raise AssertionError(f"drift/diffusion identity violated: {ident[bad][0]:.3e} "
+                             f"at eps = {eps[bad][0]:.6g}")
+    return F, D
 
 
-def _corr_closed_below(params: SystemParams, scales: DerivedScales,
-                       eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _corr_closed_below(params: SystemParams,
+                       eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ``<d_alpha d_alpha^T>``/``<d_alpha d_beta^T>`` stacks ``(n, 2, 2)``."""
     gamma, delta, chi = params.gamma1, params.delta1, params.chi
     s2 = gamma**2 + chi**2 + delta**2 - eps**2
     den = s2**2 - 4 * delta**2 * chi**2
-    corr_aa = eps / (2 * den) * (
-        gamma * np.array([[-2 * chi * delta, s2], [s2, -2 * chi * delta]])
-        - 1j * np.array([[chi * (s2 - 2 * delta**2), delta * (s2 - 2 * chi**2)],
-                         [delta * (s2 - 2 * chi**2), chi * (s2 - 2 * delta**2)]]))
-    corr_ab = eps**2 / (2 * den) * np.array([[s2, -2 * chi * delta],
-                                             [-2 * chi * delta, s2]])
-    return corr_aa, corr_ab.astype(complex)
+    scale_aa, scale_ab = eps / (2 * den), eps**2 / (2 * den)
+    corr_aa = np.empty((eps.size, 2, 2), dtype=complex)
+    corr_aa[:, 0, 0] = corr_aa[:, 1, 1] = scale_aa * (
+        gamma * (-2 * chi * delta) - 1j * (chi * (s2 - 2 * delta**2)))
+    corr_aa[:, 0, 1] = corr_aa[:, 1, 0] = scale_aa * (
+        gamma * s2 - 1j * (delta * (s2 - 2 * chi**2)))
+    corr_ab = np.empty((eps.size, 2, 2), dtype=complex)
+    corr_ab[:, 0, 0] = corr_ab[:, 1, 1] = scale_ab * s2
+    corr_ab[:, 0, 1] = corr_ab[:, 1, 0] = scale_ab * (-2 * chi * delta)
+    return corr_aa, corr_ab
 
 
 def stationary_covariance_below(params: SystemParams, scales: DerivedScales,
@@ -123,16 +149,32 @@ def equal_time_corr_below(params: SystemParams, scales: DerivedScales,
     ``(1/2) F^-1 D`` route, which loses accuracy as ``F`` approaches
     singularity at threshold.
     """
-    mats = below_matrices(params, scales, eps)  # validates regime
-    corr_aa, corr_ab = _corr_closed_below(params, scales, eps)
-    if eps <= 0.999 * scales.eps_th:
-        C4 = 0.5 * np.linalg.solve(mats.F, mats.D)
-        scale = max(1.0, float(np.abs(C4).max()))
-        err = max(np.abs(C4[:2, :2] - corr_aa).max(),
-                  np.abs(C4[:2, 2:] - corr_ab).max())
-        if err > 1e-12 * scale:
+    corr_aa, corr_ab = equal_time_corr_below_stack(params, scales,
+                                                   np.array([eps], dtype=float))
+    return corr_aa[0], corr_ab[0]
+
+
+def equal_time_corr_below_stack(params: SystemParams, scales: DerivedScales,
+                                eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`equal_time_corr_below` at every pump of the 1-D array ``eps``.
+
+    Returns ``(n, 2, 2)`` stacks.  The checks of the single-pump call run on
+    every pump: the ``D F^T = F D`` identity, and the closed forms against
+    one batched ``(1/2) F^-1 D`` solve wherever ``eps <= 0.999 eps_th``.
+    """
+    F, D = _checked_below_matrices(params, scales, eps)  # validates regime
+    corr_aa, corr_ab = _corr_closed_below(params, eps)
+    far = eps <= 0.999 * scales.eps_th
+    if far.any():
+        C4 = 0.5 * np.linalg.solve(F[far], D[far])
+        scale = np.maximum(1.0, np.abs(C4).max(axis=(1, 2)))
+        err = np.maximum(np.abs(C4[:, :2, :2] - corr_aa[far]).max(axis=(1, 2)),
+                         np.abs(C4[:, :2, 2:] - corr_ab[far]).max(axis=(1, 2)))
+        bad = err > 1e-12 * scale
+        if bad.any():
             raise AssertionError(
-                f"closed-form and generic equal-time correlators disagree: {err:.3e}")
+                "closed-form and generic equal-time correlators disagree: "
+                f"{err[bad][0]:.3e} at eps = {eps[far][bad][0]:.6g}")
     return corr_aa, corr_ab
 
 

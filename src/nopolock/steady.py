@@ -13,7 +13,6 @@ model.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -69,9 +68,7 @@ class SteadyStateBranch:
         """Classical state ``(alpha1, alpha2, conj(alpha1), conj(alpha2))``."""
         if self.is_zero:
             return np.zeros(4, dtype=complex)
-        a1 = math.sqrt(self.n10) * cmath.exp(1j * self.phi10)
-        a2 = math.sqrt(self.n20) * cmath.exp(1j * self.phi20)
-        return np.array([a1, a2, a1.conjugate(), a2.conjugate()])
+        return _state_vectors(self.n10, self.n20, self.phi10, self.phi20)
 
     def twin(self) -> "SteadyStateBranch":
         """The pi-shifted phase twin (identical photon numbers and stability)."""
@@ -102,9 +99,8 @@ def critical_points(params: SystemParams, scales: DerivedScales) -> CriticalPoin
     return CriticalPoints(eps_cr_plus=math.sqrt(lo_sq), eps_cr_minus=math.sqrt(hi_sq))
 
 
-def _zero_branch(params: SystemParams, scales: DerivedScales, eps: float,
-                 branch: str, below_critical: bool) -> SteadyStateBranch:
-    ev, stable = stability_eigenvalues(params, scales, eps, np.zeros(4, complex))
+def _zero_branch(branch: str, ev: np.ndarray, stable: bool,
+                 below_critical: bool) -> SteadyStateBranch:
     return SteadyStateBranch(branch=branch, n10=0.0, n20=0.0,
                              phi10=math.nan, phi20=math.nan,
                              phase_sum=math.nan, phase_diff=math.nan,
@@ -133,12 +129,39 @@ def steady_state(params: SystemParams, scales: DerivedScales, eps: float,
         if eps > scales.eps_th and not locking_feasible(params):
             # fall through to the named-inequality error
             critical_points(params, scales)
-        return _zero_branch(params, scales, eps, label, below_critical=eps > 0)
+        ev, stable = stability_eigenvalues(params, scales, eps, np.zeros(4, complex))
+        return _zero_branch(label, ev, stable, below_critical=eps > 0)
 
+    phase_sum, phase_diff, lit, n10, n20, ev, stable = _locked_family(
+        params, scales, np.array([eps], dtype=float), label)
+    if not lit[0]:
+        return _zero_branch(label, ev[0], bool(stable[0]), below_critical=True)
+    phase_sum = float(phase_sum[0])
+    return SteadyStateBranch(
+        branch=label, n10=float(n10[0]), n20=float(n20[0]),
+        phi10=wrap_angle((phase_sum - phase_diff) / 2),
+        phi20=wrap_angle((phase_sum + phase_diff) / 2),
+        phase_sum=phase_sum, phase_diff=wrap_angle(phase_diff),
+        stable=bool(stable[0]), eigenvalues=tuple(ev[0]))
+
+
+def _locked_family(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
+                   label: str = "+") -> tuple:
+    """Closed-form steady states of family ``label`` at every pump of ``eps``.
+
+    ``eps`` is a 1-D array.  Returns ``(phase_sum, phase_diff, lit, n10,
+    n20, eigenvalues, stable)``: ``lit`` marks the pumps above the family's
+    critical point, where the bright solution exists; elsewhere the photon
+    numbers are 0 and ``phase_sum`` is NaN (the zero solution).
+    ``phase_diff`` is the pump-independent unwrapped phase difference.
+    Every state, zero or bright, goes through the drift-residual check and
+    the stability solve of :func:`stability_eigenvalues`, each run once on
+    the whole batch.
+    """
+    if scales.lam <= 0:
+        raise ParameterDomainError("effective nonlinearity lam must be positive (k > 0)")
     crit = critical_points(params, scales)
     eps_cr = crit.eps_cr_plus if label == "+" else crit.eps_cr_minus
-    if eps <= eps_cr:
-        return _zero_branch(params, scales, eps, label, below_critical=True)
 
     g1, g2 = params.gamma1, params.gamma2
     d1, d2 = params.delta1, params.delta2
@@ -149,24 +172,30 @@ def steady_state(params: SystemParams, scales: DerivedScales, eps: float,
     sin_diff = (g1 * math.sqrt(d2 / d1) - g2 * math.sqrt(d1 / d2)) / (2 * chi)
     cos_diff = math.sqrt(max(0.0, 1.0 - sin_diff**2))
     cos_diff *= -math.copysign(1.0, ds) if label == "+" else math.copysign(1.0, ds)
+    phase_diff = math.atan2(sin_diff, cos_diff)
 
-    m = (math.sqrt(eps**2 - eps_cr**2 + gt**2) - gt) / lam
+    lit = eps > eps_cr
+    e = eps[lit]
+    m = np.zeros(eps.shape)
+    m[lit] = (np.sqrt(e**2 - eps_cr**2 + gt**2) - gt) / lam
     n10 = m * math.sqrt(d2 / d1)
     n20 = m * math.sqrt(d1 / d2)
+    phase_sum = np.full(eps.shape, np.nan)
+    phase_sum[lit] = np.arctan2(-(ds + chi * cos_diff) / e, (gt + lam * m[lit]) / e)
 
-    cos_sum = (gt + lam * m) / eps
-    sin_sum = -(ds + chi * cos_diff) / eps
-    phase_sum = math.atan2(sin_sum, cos_sum)
-    phase_diff = math.atan2(sin_diff, cos_diff)
-    phi10 = wrap_angle((phase_sum - phase_diff) / 2)
-    phi20 = wrap_angle((phase_sum + phase_diff) / 2)
+    # dark pumps carry the zero solution: amplitude 0 at an arbitrary finite phase
+    sums = np.where(lit, phase_sum, 0.0)
+    states = _state_vectors(n10, n20, wrap_angle((sums - phase_diff) / 2),
+                            wrap_angle((sums + phase_diff) / 2))
+    ev, stable = _stability(params, scales, eps, states)
+    return phase_sum, phase_diff, lit, n10, n20, ev, stable
 
-    trial = SteadyStateBranch(branch=label, n10=n10, n20=n20,
-                              phi10=phi10, phi20=phi20,
-                              phase_sum=phase_sum, phase_diff=wrap_angle(phase_diff),
-                              stable=False, eigenvalues=())
-    ev, stable = stability_eigenvalues(params, scales, eps, trial.state_vector())
-    return replace(trial, stable=stable, eigenvalues=tuple(ev))
+
+def _state_vectors(n10, n20, phi10, phi20) -> np.ndarray:
+    """``(alpha1, alpha2, conj(alpha1), conj(alpha2))``; broadcasts over the inputs."""
+    a1 = np.sqrt(n10) * np.exp(1j * phi10)
+    a2 = np.sqrt(n20) * np.exp(1j * phi20)
+    return np.array([a1, a2, a1.conj(), a2.conj()])
 
 
 def stability_eigenvalues(params: SystemParams, scales: DerivedScales, eps: float,
@@ -183,19 +212,33 @@ def stability_eigenvalues(params: SystemParams, scales: DerivedScales, eps: floa
         When ``state`` is not actually a steady state of the drift.
     """
     state = np.asarray(state, dtype=complex)
-    eff = replace_pump(params, scales, eps)
-    resid = np.abs(drift_field(state, eff[0], eff[1])).max()
-    amp = 1.0 + float(np.abs(state).max())
-    rate = max(params.gamma1, params.gamma2, abs(params.delta1), abs(params.delta2),
-               params.chi, eps, scales.lam * amp**2)
-    if resid > 1e-7 * amp * rate:
+    ev, stable = _stability(params, scales, np.array([eps], dtype=float), state[:, None])
+    return ev[0], bool(stable[0])
+
+
+def _stability(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
+               states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`stability_eigenvalues` of the states ``(4, n)`` at the pumps ``eps``.
+
+    The residual check and the eigenvalue solve each run once on the whole
+    batch; the first state that fails the check raises.
+    """
+    eff = replace(scales, eps=eps)  # the drift broadcasts one pump per state
+    resid = np.abs(drift_field(states, params, eff)).max(axis=0)
+    amp = 1.0 + np.abs(states).max(axis=0)
+    rate = np.maximum(max(params.gamma1, params.gamma2, abs(params.delta1),
+                          abs(params.delta2), params.chi),
+                      np.maximum(eps, scales.lam * amp**2))
+    bound = 1e-7 * amp * rate
+    bad = resid > bound
+    if bad.any():
+        i = int(np.argmax(bad))
         raise NotSteadyStateError(
-            f"state is not steady: drift residual {resid:.3e} "
-            f"exceeds {1e-7 * amp * rate:.3e}")
-    jac = drift_jacobian(state, eff[0], eff[1])
-    ev = np.linalg.eigvals(-jac)
+            f"state is not steady: drift residual {resid[i]:.3e} "
+            f"exceeds {bound[i]:.3e} at eps = {eps[i]:.6g}")
+    ev = np.linalg.eigvals(-drift_jacobian(states, params, eff))
     tol = STABILITY_RTOL * min(params.gamma1, params.gamma2)
-    return ev, bool(np.all(ev.real > tol))
+    return ev, np.all(ev.real > tol, axis=-1)
 
 
 def replace_pump(params: SystemParams, scales: DerivedScales,

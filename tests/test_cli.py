@@ -106,6 +106,14 @@ class TestVarianceCommand:
         assert code == 2
         assert "parameter error" in capsys.readouterr().err
 
+    def test_unitary_sweep_needs_mixing(self, tmp_path, capsys):
+        # time is measured as chi*t, so the default chi = 0 has no time axis
+        code = main(["variance", "--regime", "unitary", "--eps", "0.5",
+                     "--sweep", "chi_t:0:1:0.5", "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "chi > 0" in capsys.readouterr().err
+        assert not (tmp_path / "variance.csv").exists()
+
 
 MC_ARGS = ["mc", "--chi", "0.5", "--delta", "3", "--lam", "0.05",
            "--eps-ratio", "0.6", "--dt", "0.002", "--t-max", "8",
@@ -238,6 +246,20 @@ class TestConfigPlumbing:
         assert main(["steady", "--config", str(cfg), "--eps-ratio", "2"]) == 0
         out = capsys.readouterr().out
         assert "3.76969" in out  # flag took precedence over the file
+
+    @pytest.mark.parametrize("command", [
+        ["steady"], ["variance", "--sweep", "eps_ratio:0.5:0.6:0.1"], ["mc"]])
+    def test_unknown_config_key_refused(self, tmp_path, capsys, command):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("chii = 0.5\ndelta = 3.0\n")
+        assert main(command + ["--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+        assert "'chii'" in capsys.readouterr().err
+
+    def test_config_key_of_another_command_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("chi = 0.5\ndelta = 3.0\nn_traj = 64\n")
+        assert main(["steady", "--config", str(cfg)]) == 2
+        assert "'n_traj'" in capsys.readouterr().err
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NOPOLOCK_OUTDIR", str(tmp_path))

@@ -1,0 +1,31 @@
+"""The demos run end to end: a change to the public API cannot silently break them.
+
+``05_positive_p_monte_carlo.py`` is left out: it is a Monte Carlo run of
+about 5 s on a 2-core machine (the others take about 0.5 s each), and its
+engine is tested in ``test_montecarlo.py``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+
+
+def test_demo_set():
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04"]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

@@ -3,12 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nopolock import (MomentSet, ParameterDomainError, QuadratureAngles,
-                      RegimeError, SingularParameterError, moments_above,
-                      optimal_angle_sum, unitary_minimum, unitary_variance,
-                      variance_above, variance_below, variance_steady,
-                      variances_from_moments)
+from nopolock import (MomentSet, NotSteadyStateError, ParameterDomainError,
+                      QuadratureAngles, RegimeError, SingularParameterError,
+                      moments_above, optimal_angle_sum,
+                      stationary_covariance_below, unitary_minimum,
+                      unitary_variance, variance_above, variance_below,
+                      variance_steady, variance_sweep, variances_from_moments,
+                      wrap_angle)
+from nopolock import fluctuations, steady
 from nopolock.entanglement import unitary_period
 from nopolock.steady import steady_state
 
@@ -247,6 +252,179 @@ class TestVarianceSteadyDispatch:
             variance_steady(params, scales, 0.5 * scales.eps_th, regime="above")
 
 
+FIGURE3_SETS = ((0.1, 10.0), (0.5, 3.0), (0.5, 1.0))
+FIGURE_GRID = np.arange(0.01, 3.0 + 1e-9, 0.005)
+COLUMNS = ("V", "R", "V_plus", "V_minus", "product", "sigma_theta")
+
+
+def point_reference(params, scales, eps, delta_theta):
+    """One pump evaluated by the per-point routes the batched kernel replaces.
+
+    Below threshold: the generic ``(1/2) F^-1 D`` covariance, the minimizing
+    angle and :func:`variances_from_moments`.  Above: the closed forms in
+    ``w`` with the sum angle locked to ``steady_state(...).phase_sum``.
+    """
+    if eps < scales.eps_th * (1 - 1e-9):
+        C4 = stationary_covariance_below(params, scales, eps)
+        moments = MomentSet(C4[0, 2].real, complex(C4[0, 1]), complex(C4[0, 0]),
+                            complex(C4[1, 2]))
+        angles = optimal_angle_sum(moments, params, delta_theta)
+        rep = variances_from_moments(moments, angles)
+        sigma = angles.sigma_theta
+        values = (rep.V, rep.R, rep.V_plus, rep.V_minus, rep.product)
+    else:
+        delta, chi, ad = params.delta1, params.chi, abs(params.delta1)
+        w = math.sqrt(1 + max(0.0, eps**2 - scales.eps_th**2))
+        V = 0.75 - 1 / (4 * w) + chi / (4 * ad)
+        R = math.copysign(1.0, delta) / 4 * (1 / w - (ad - chi) / ad)
+        vp, vm = V + R * math.cos(delta_theta), V - R * math.cos(delta_theta)
+        values = (V, R, vp, vm, vp * vm)
+        sigma = (wrap_angle(-steady_state(params, scales, eps, "+").phase_sum)
+                 if eps > scales.eps_th else 0.0)
+    flag = "linearization-unreliable" if abs(eps / scales.eps_th - 1) < 0.05 else "ok"
+    return dict(zip(COLUMNS, values + (sigma,))), flag
+
+
+def perturb_output(monkeypatch, module, name, change):
+    """Replace ``module.name`` by a wrapper that edits its result in place."""
+    original = getattr(module, name)
+
+    def perturbed(*args):
+        out = original(*args)
+        change(out)
+        return out
+
+    monkeypatch.setattr(module, name, perturbed)
+
+
+class TestVarianceSweep:
+    @pytest.mark.parametrize("delta_theta", [0.0, 0.7])
+    @pytest.mark.parametrize("chi, delta", FIGURE3_SETS)
+    def test_matches_per_point_reference(self, chi, delta, delta_theta):
+        # 1e-12 relative, or 1e-12 in vacuum units for the small splitting R
+        # at 0.995 eps_th, where the generic solve it is compared with
+        # carries about 1e-14 of absolute roundoff
+        params, scales = make_system(delta=delta, chi=chi)
+        eps = FIGURE_GRID * scales.eps_th
+        sweep = variance_sweep(params, scales, eps, delta_theta)
+        for i, e in enumerate(eps):
+            ref, flag = point_reference(params, scales, e, delta_theta)
+            assert sweep.flag[i] == flag, e
+            for name, value in ref.items():
+                assert getattr(sweep, name)[i] == pytest.approx(
+                    value, rel=1e-12, abs=1e-12), (name, e)
+
+    def test_single_point_evaluators_are_views(self, standard):
+        params, scales = standard
+        eps = np.array([0.0, 0.4, 0.97, 1 - 1e-10, 1.0, 1.02, 2.5]) * scales.eps_th
+        sweep = variance_sweep(params, scales, eps, 0.4)
+        for i, e in enumerate(eps):
+            rep = variance_steady(params, scales, e, 0.4)
+            assert (rep.V, rep.R, rep.V_plus, rep.V_minus, rep.product, rep.flag) == (
+                sweep.V[i], sweep.R[i], sweep.V_plus[i], sweep.V_minus[i],
+                sweep.product[i], sweep.flag[i])
+            assert rep.angles.sigma_theta == pytest.approx(sweep.sigma_theta[i], abs=1e-15)
+            assert rep.angles.delta_theta == pytest.approx(0.4, abs=1e-15)
+            assert rep.angles.degenerate is (e == 0)
+            single = (variance_below if e < scales.eps_th * (1 - 1e-9)
+                      else variance_above)(params, scales, e, 0.4)
+            assert single == rep
+
+    def test_regime_checks_cover_every_point(self, standard):
+        params, scales = standard
+        eps = np.array([0.5, 0.9, 1.2]) * scales.eps_th
+        with pytest.raises(RegimeError, match="below-threshold range"):
+            variance_sweep(params, scales, eps, regime="below")
+        with pytest.raises(RegimeError, match="below threshold"):
+            variance_sweep(params, scales, eps, regime="above")
+        with pytest.raises(ParameterDomainError, match="unknown regime"):
+            variance_sweep(params, scales, eps, regime="sideways")
+        # a sweep that stays below threshold never needs the locked state
+        zero_det, zd = make_system(delta=0.0, chi=0.5)
+        assert variance_sweep(zero_det, zd, [0.5 * zd.eps_th]).V[0] < 1
+        with pytest.raises(SingularParameterError):
+            variance_sweep(zero_det, zd, np.array([0.5, 1.5]) * zd.eps_th)
+
+    @pytest.mark.parametrize("index", [0, 100, 196])
+    def test_identity_guard_fires_at_one_point(self, standard, monkeypatch, index):
+        params, scales = standard
+        eps = FIGURE_GRID * scales.eps_th  # 197 pumps below threshold
+
+        def break_identity(out):
+            out[0][index, 0, 3] += 1e-9
+
+        perturb_output(monkeypatch, fluctuations, "_below_matrix_stacks", break_identity)
+        with pytest.raises(AssertionError, match="identity violated"):
+            variance_sweep(params, scales, eps)
+
+    @pytest.mark.parametrize("index", [0, 100, 196])
+    def test_closed_form_guard_fires_at_one_point(self, standard, monkeypatch, index):
+        params, scales = standard
+        eps = FIGURE_GRID * scales.eps_th
+
+        def shift_closed_form(out):
+            out[0][index] *= 1 + 1e-9
+
+        perturb_output(monkeypatch, fluctuations, "_corr_closed_below", shift_closed_form)
+        with pytest.raises(AssertionError, match="disagree"):
+            variance_sweep(params, scales, eps)
+
+    @pytest.mark.parametrize("index", [0, 200, 398])
+    def test_drift_residual_guard_fires_at_one_point(self, standard, monkeypatch, index):
+        params, scales = standard
+        eps = FIGURE_GRID[FIGURE_GRID > 1] * scales.eps_th  # 399 locked pumps
+
+        def displace(states):
+            states[:, index] *= 1 + 1e-4
+
+        perturb_output(monkeypatch, steady, "_state_vectors", displace)
+        with pytest.raises(NotSteadyStateError, match="not steady"):
+            variance_sweep(params, scales, eps)
+
+    @pytest.mark.parametrize("index", [0, 200, 398])
+    def test_stability_solve_covers_every_point(self, standard, monkeypatch, index):
+        params, scales = standard
+        eps = FIGURE_GRID[FIGURE_GRID > 1] * scales.eps_th
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def recording_eigvals(a):
+            shapes.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+        variance_sweep(params, scales, eps)
+        assert shapes == [(eps.size, 4, 4)]
+
+        # a state the residual check cannot judge (NaN) still reaches the
+        # eigenvalue solve, which refuses it
+        def poison(states):
+            states[:, index] = np.nan
+
+        perturb_output(monkeypatch, steady, "_state_vectors", poison)
+        with pytest.raises(np.linalg.LinAlgError):
+            variance_sweep(params, scales, eps)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(chi=st.floats(0.01, 5.0), abs_delta=st.floats(0.05, 10.0),
+           sign=st.sampled_from([1.0, -1.0]), delta_theta=st.floats(-math.pi, math.pi))
+    def test_identities_and_continuity_across_threshold(self, chi, abs_delta, sign,
+                                                        delta_theta):
+        params, scales = make_system(delta=sign * abs_delta, chi=chi)
+        h = np.array([1e-4, 1e-7])
+        ratios = np.concatenate([np.linspace(0.05, 0.95, 7), 1 - h, 1 + h,
+                                 np.linspace(1.1, 20.0, 7)])
+        sweep = variance_sweep(params, scales, ratios * scales.eps_th, delta_theta)
+        np.testing.assert_allclose(sweep.V, (sweep.V_plus + sweep.V_minus) / 2,
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(sweep.product, sweep.V_plus * sweep.V_minus)
+        # V and V+- reach threshold from both sides: the two-sided gap shrinks
+        # with the distance to threshold (linearly; 1000x here)
+        for column in (sweep.V, sweep.V_plus, sweep.V_minus):
+            wide, narrow = abs(column[7] - column[9]), abs(column[8] - column[10])
+            assert narrow <= 0.01 * wide + 1e-8
+
+
 class TestUnitary:
     def test_starts_at_vacuum(self):
         assert unitary_variance(1.0, 0.5, 0.0) == 1.0
@@ -282,6 +460,17 @@ class TestUnitary:
     def test_negative_time_rejected(self):
         with pytest.raises(ParameterDomainError):
             unitary_variance(1.0, 0.5, -0.1)
+
+    def test_broadcasts_over_times(self):
+        t = np.linspace(0.0, 3.0, 31)
+        for eps in (0.4, 1.0, 2.5):
+            values = unitary_variance(1.0, eps, t, sigma_theta=0.3)
+            assert values.shape == t.shape
+            np.testing.assert_allclose(
+                values, [unitary_variance(1.0, eps, x, sigma_theta=0.3) for x in t],
+                rtol=1e-13, atol=0)
+        with pytest.raises(ParameterDomainError):
+            unitary_variance(1.0, 0.5, np.array([0.1, -0.1]))
 
     def test_sigma_theta_slice(self):
         # turning the sum angle off kills the squeezing term
