@@ -16,9 +16,9 @@ from .fluctuations import (AboveThresholdMatrices, BelowThresholdMatrices,
                            stationary_covariance_below, temporal_corr_above,
                            temporal_corr_below)
 from .montecarlo import (EnsembleEstimate, PhaseHistogram, SimConfig,
-                         TrajectoryRecord, TrajectoryState, ensemble_moments,
-                         integrate_trajectory, moment_label, noise_increment,
-                         parse_moment_spec, phase_histogram, sample_ensemble)
+                         TrajectoryRecord, ensemble_moments, integrate_trajectory,
+                         moment_label, noise_increment, parse_moment_spec,
+                         phase_histogram, sample_ensemble)
 from .params import (DerivedScales, QuadratureAngles, SystemParams,
                      derive_scales, locking_feasible, wrap_angle)
 from .steady import (CriticalPoints, SteadyStateBranch, critical_points,
@@ -41,8 +41,8 @@ __all__ = [
     "stationary_covariance_below", "temporal_corr_above", "temporal_corr_below",
     # montecarlo
     "EnsembleEstimate", "PhaseHistogram", "SimConfig", "TrajectoryRecord",
-    "TrajectoryState", "ensemble_moments", "integrate_trajectory", "moment_label",
-    "noise_increment", "parse_moment_spec", "phase_histogram", "sample_ensemble",
+    "ensemble_moments", "integrate_trajectory", "moment_label", "noise_increment",
+    "parse_moment_spec", "phase_histogram", "sample_ensemble",
     # params
     "DerivedScales", "QuadratureAngles", "SystemParams", "derive_scales",
     "locking_feasible", "wrap_angle",

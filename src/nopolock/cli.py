@@ -21,6 +21,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -45,19 +46,29 @@ def fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# configuration plumbing: one table of keys, shared by flags and --config
 
-_PARAM_KEYS = ("gamma", "gamma1", "gamma2", "gamma3", "delta", "delta1", "delta2",
-               "chi", "k", "E", "phi_L", "phi_k", "phi_chi",
-               "lam", "eps", "eps_ratio", "eps_over_chi")
-_SIM_KEYS = ("dt", "t_max", "n_traj", "burn_in", "seed", "divergence_bound",
-             "scheme", "sample_every", "chunk_size")
+#: shorthands that ``build_params`` resolves into ``SystemParams`` fields and the pump
+_SHORTHANDS = ("gamma", "delta", "lam", "eps", "eps_ratio", "eps_over_chi")
+
+
+def _table(command: str) -> dict[str, type]:
+    """Every key ``command`` takes, flag or config file, with the type it is cast to."""
+    keys = dict.fromkeys(_SHORTHANDS + tuple(f.name for f in fields(SystemParams)), float)
+    if command == "mc":
+        keys.update((f.name, type(f.default)) for f in fields(SimConfig))
+    return keys
 
 
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a flat ``key = value`` file; ``#`` starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterDomainError(
+            f"cannot read config file {path}: {getattr(exc, 'strerror', None) or exc}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -68,65 +79,50 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merged(ns: argparse.Namespace, key: str, cast=float):
-    """CLI flag if given, else config-file value, else None."""
-    flag = getattr(ns, key, None)
-    if flag is not None:
-        return flag
-    raw = ns._file_config.get(key)
-    if raw is None:
-        return None
-    return cast(raw) if cast is not str else raw
+def _settings(ns: argparse.Namespace) -> dict:
+    """Flags over ``--config`` values, each cast by the table; unknown keys are refused."""
+    table = _table(ns.command)
+    values = read_config_file(ns.config) if ns.config else {}
+    unknown = [key for key in values if key not in table]
+    if unknown:
+        raise ParameterDomainError(
+            f"{ns.config}: unknown key(s) {', '.join(map(repr, unknown))} for "
+            f"'{ns.command}'; accepted keys: {', '.join(table)}")
+    values.update((key, getattr(ns, key)) for key in table if getattr(ns, key) is not None)
+    merged = {}
+    for key, value in values.items():
+        try:
+            merged[key] = table[key](value)
+        except ValueError:
+            raise ParameterDomainError(
+                f"{key} must be of type {table[key].__name__}, got {value!r}") from None
+    return merged
 
 
-def build_params(ns: argparse.Namespace) -> tuple[SystemParams, float]:
-    """Assemble SystemParams and the working pump rate from flags/config."""
-    get = lambda key, cast=float: _merged(ns, key, cast)
-    gamma = get("gamma")
-    g1 = get("gamma1") if get("gamma1") is not None else (gamma if gamma is not None else 1.0)
-    g2 = get("gamma2") if get("gamma2") is not None else (gamma if gamma is not None else 1.0)
-    delta = get("delta")
-    d1 = get("delta1") if get("delta1") is not None else (delta if delta is not None else 0.0)
-    d2 = get("delta2") if get("delta2") is not None else (delta if delta is not None else 0.0)
-    chi = get("chi") if get("chi") is not None else 0.0
-    gamma3 = get("gamma3") if get("gamma3") is not None else 100.0 * max(g1, g2)
-    phases = {name: get(name) or 0.0 for name in ("phi_L", "phi_k", "phi_chi")}
-
-    k = get("k")
-    E = get("E")
-    if k is None:
-        lam = get("lam") if get("lam") is not None else 1.0
-        k = math.sqrt(lam * gamma3)
-    params = SystemParams(gamma1=g1, gamma2=g2, gamma3=gamma3, delta1=d1, delta2=d2,
-                          chi=chi, k=k, E=E if E is not None else 0.0, **phases)
+def build_params(values: dict) -> tuple[SystemParams, float]:
+    """Assemble SystemParams and the working pump rate from merged settings."""
+    model = {f.name: values[f.name] for f in fields(SystemParams) if f.name in values}
+    for name, shorthand, default in (("gamma1", "gamma", 1.0), ("gamma2", "gamma", 1.0),
+                                     ("delta1", "delta", 0.0), ("delta2", "delta", 0.0)):
+        model.setdefault(name, values.get(shorthand, default))
+    model.setdefault("gamma3", 100.0 * max(model["gamma1"], model["gamma2"]))
+    if "k" not in model:
+        lam = values.get("lam", 1.0)
+        if lam < 0:
+            raise ParameterDomainError(f"lam must be non-negative, got {lam}")
+        model["k"] = math.sqrt(lam * model["gamma3"])
+    params = SystemParams(**model)
     scales = derive_scales(params)
 
-    eps = get("eps")
-    ratio = get("eps_ratio")
-    over_chi = get("eps_over_chi")
-    if sum(v is not None for v in (eps, ratio, over_chi)) > 1:
+    if sum(key in values for key in ("eps", "eps_ratio", "eps_over_chi")) > 1:
         raise ParameterDomainError("give at most one of --eps, --eps-ratio, --eps-over-chi")
-    if ratio is not None:
+    if "eps_ratio" in values:
         if not scales.eps_th == scales.eps_th:  # NaN guard
             raise ParameterDomainError("eps-ratio needs a defined threshold")
-        eps = ratio * scales.eps_th
-    elif over_chi is not None:
-        eps = over_chi * chi
-    elif eps is None:
-        eps = scales.eps
-    return params, eps
-
-
-def build_sim_config(ns: argparse.Namespace) -> SimConfig:
-    get = lambda key, cast=float: _merged(ns, key, cast)
-    kwargs = {}
-    for key, cast in (("dt", float), ("t_max", float), ("n_traj", int),
-                      ("burn_in", float), ("seed", int), ("divergence_bound", float),
-                      ("scheme", str), ("sample_every", int), ("chunk_size", int)):
-        value = get(key, cast)
-        if value is not None:
-            kwargs[key] = value
-    return SimConfig(**kwargs)
+        return params, values["eps_ratio"] * scales.eps_th
+    if "eps_over_chi" in values:
+        return params, values["eps_over_chi"] * params.chi
+    return params, values.get("eps", scales.eps)
 
 
 def parse_sweep(spec: str) -> tuple[str, np.ndarray]:
@@ -135,12 +131,20 @@ def parse_sweep(spec: str) -> tuple[str, np.ndarray]:
     if len(parts) != 4:
         raise ParameterDomainError(f"sweep must be var:start:stop:step, got {spec!r}")
     var = parts[0]
-    start, stop, step = (float(p) for p in parts[1:])
+    try:
+        start, stop, step = (float(p) for p in parts[1:])
+    except ValueError:
+        raise ParameterDomainError(f"sweep bounds must be numbers, got {spec!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ParameterDomainError(f"sweep bounds must be finite, got {spec!r}")
     if step <= 0:
         raise ParameterDomainError("sweep step must be positive")
     if stop < start:
         raise ParameterDomainError("sweep stop must be >= start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    count = (stop - start) / step
+    if not math.isfinite(count):
+        raise ParameterDomainError(f"sweep {spec!r} has too many points")
+    n = int(math.floor(count + 1e-9)) + 1
     return var, start + step * np.arange(n)
 
 
@@ -153,12 +157,8 @@ def _outdir(ns: argparse.Namespace) -> Path:
 
 def _header(ns: argparse.Namespace, params: SystemParams, extra: dict) -> list[str]:
     lines = [f"# nopolock {__version__}", f"# command = {ns.command}"]
-    for name in ("gamma1", "gamma2", "gamma3", "delta1", "delta2", "chi",
-                 "k", "E", "phi_L", "phi_k", "phi_chi"):
-        lines.append(f"# {name} = {fmt(getattr(params, name))}")
-    for key, value in extra.items():
-        lines.append(f"# {key} = {value}")
-    return lines
+    lines += [f"# {f.name} = {fmt(getattr(params, f.name))}" for f in fields(params)]
+    return lines + [f"# {key} = {value}" for key, value in extra.items()]
 
 
 def _write_csv(path: Path | None, header: list[str], columns: list[str],
@@ -175,7 +175,7 @@ def _write_csv(path: Path | None, header: list[str], columns: list[str],
 # subcommands
 
 def cmd_steady(ns: argparse.Namespace) -> int:
-    params, eps = build_params(ns)
+    params, eps = build_params(_settings(ns))
     params, scales = replace_pump(params, derive_scales(params), eps)
     print(f"eps        = {fmt(eps)}")
     print(f"eps_th     = {fmt(scales.eps_th)}  (E_th = {fmt(scales.e_th)}, "
@@ -228,7 +228,7 @@ def _variance_rows(params, scales, eps, ns, var, grid):
 
 
 def cmd_variance(ns: argparse.Namespace) -> int:
-    params, eps = build_params(ns)
+    params, eps = build_params(_settings(ns))
     params, scales = replace_pump(params, derive_scales(params), eps)
     var, grid = parse_sweep(ns.sweep)
     rows = _variance_rows(params, scales, eps, ns, var, grid)
@@ -242,21 +242,19 @@ def cmd_variance(ns: argparse.Namespace) -> int:
 
 
 def cmd_mc(ns: argparse.Namespace) -> int:
-    params, eps = build_params(ns)
+    values = _settings(ns)
+    params, eps = build_params(values)
     params, scales = replace_pump(params, derive_scales(params), eps)
-    config = build_sim_config(ns)
+    config = SimConfig(**{f.name: values[f.name] for f in fields(SimConfig) if f.name in values})
     specs = [s.strip() for s in ns.moments.split(",") if s.strip()]
     estimates, hist = sample_ensemble(params, scales, config,
                                       [parse_moment_spec(s) for s in specs],
                                       n_workers=ns.workers, phases=ns.phases)
     # worker count deliberately left out of the header: results are
     # bitwise identical for any worker count, and so must be the file
-    header = _header(ns, params, {
-        "eps": fmt(eps), "dt": fmt(config.dt), "t_max": fmt(config.t_max),
-        "n_traj": config.n_traj, "burn_in": fmt(config.burn_in),
-        "seed": config.seed, "divergence_bound": fmt(config.divergence_bound),
-        "scheme": config.scheme, "sample_every": config.sample_every,
-        "chunk_size": config.chunk_size})
+    setup = {f.name: getattr(config, f.name) for f in fields(config)}
+    header = _header(ns, params, {"eps": fmt(eps), **{
+        key: fmt(value) if isinstance(value, float) else value for key, value in setup.items()}})
     columns = ["observable", "mean_re", "mean_im", "std_error",
                "n_effective", "discard_fraction"]
     rows = [[e.label, fmt(e.mean.real), fmt(e.mean.imag), fmt(e.std_error),
@@ -354,10 +352,10 @@ def _render_svg(n: int, csv_paths: list[Path], out: Path) -> None:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("model parameters (rates in units of gamma)")
-    for name in _PARAM_KEYS:
-        g.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
+def _add_table_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    g = parser.add_argument_group("parameters, also --config keys (rates in units of gamma)")
+    for name in _table(command):
+        g.add_argument(f"--{name.replace('_', '-')}", dest=name)
     parser.add_argument("--config", help="flat key = value file; flags override")
     parser.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV} or .)")
 
@@ -371,11 +369,11 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("steady", help="threshold, photon numbers, phases, stability")
-    _add_param_flags(p)
+    _add_table_flags(p, "steady")
     p.set_defaults(func=cmd_steady)
 
     p = sub.add_parser("variance", help="sweep a variance evaluator to CSV")
-    _add_param_flags(p)
+    _add_table_flags(p, "variance")
     p.add_argument("--regime", choices=("unitary", "below", "above", "auto"),
                    default="auto")
     p.add_argument("--sweep", required=True, metavar="VAR:START:STOP:STEP",
@@ -387,13 +385,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_variance)
 
     p = sub.add_parser("mc", help="positive-P ensemble moments (and phase histograms)")
-    _add_param_flags(p)
-    for name in _SIM_KEYS:
-        kind = int if name in ("n_traj", "seed", "sample_every", "chunk_size") else float
-        if name == "scheme":
-            p.add_argument("--scheme", type=str)
-        else:
-            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind)
+    _add_table_flags(p, "mc")
     p.add_argument("--moments", default="n1,a1a2,b1a2,a1",
                    help="comma list of aliases or exponent tuples")
     p.add_argument("--workers", type=int, default=1)
@@ -410,24 +402,9 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _file_config(ns: argparse.Namespace) -> dict[str, str]:
-    """The ``--config`` file's values; a key the subcommand does not take is refused."""
-    if not getattr(ns, "config", None):
-        return {}
-    values = read_config_file(ns.config)
-    accepted = _PARAM_KEYS + (_SIM_KEYS if ns.command == "mc" else ())
-    unknown = [key for key in values if key not in accepted]
-    if unknown:
-        raise ParameterDomainError(
-            f"{ns.config}: unknown key(s) {', '.join(map(repr, unknown))} for "
-            f"'{ns.command}'; accepted keys: {', '.join(accepted)}")
-    return values
-
-
 def main(argv: list[str] | None = None) -> int:
     ns = make_parser().parse_args(argv)
     try:
-        ns._file_config = _file_config(ns)
         return ns.func(ns)
     except ParameterDomainError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

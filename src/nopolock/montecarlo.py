@@ -96,29 +96,12 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class TrajectoryState:
-    """Snapshot of one trajectory in the doubled phase space."""
-
-    alpha1: complex
-    alpha2: complex
-    beta1: complex
-    beta2: complex
-    t: float
-    diverged: bool
-
-
-@dataclass(frozen=True)
 class TrajectoryRecord:
     """Sampled history of a single trajectory."""
 
     times: np.ndarray
     states: np.ndarray  # (n_samples, 4) complex
     diverged: bool
-
-    @property
-    def final_state(self) -> TrajectoryState:
-        a1, a2, b1, b2 = self.states[-1]
-        return TrajectoryState(a1, a2, b1, b2, float(self.times[-1]), self.diverged)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,6 +43,7 @@ class SystemParams:
 
     All rate-like fields share one unit (conventionally the subharmonic
     damping ``gamma``); phases are radians, stored reduced to (-pi, pi].
+    Every field must be finite.
 
     Attributes
     ----------
@@ -82,6 +83,9 @@ class SystemParams:
     def __post_init__(self) -> None:
         from .errors import ParameterDomainError
 
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ParameterDomainError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("gamma1", "gamma2", "gamma3"):
             if not getattr(self, name) > 0:
                 raise ParameterDomainError(f"{name} must be positive, got {getattr(self, name)}")
@@ -102,16 +106,6 @@ class SystemParams:
     def is_symmetric(self) -> bool:
         """True when damping rates and detunings are polarization independent."""
         return self.gamma1 == self.gamma2 and self.delta1 == self.delta2
-
-    @property
-    def gamma(self) -> float:
-        """Common subharmonic damping; only meaningful for symmetric parameters."""
-        return 0.5 * (self.gamma1 + self.gamma2)
-
-    @property
-    def delta(self) -> float:
-        """Common detuning; only meaningful for symmetric parameters."""
-        return 0.5 * (self.delta1 + self.delta2)
 
     @classmethod
     def symmetric(
@@ -196,11 +190,6 @@ class DerivedScales:
     eps_th: float
     e_th: float
     p_th: float
-
-    @property
-    def eps_ratio(self) -> float:
-        """Pump rate relative to threshold."""
-        return self.eps / self.eps_th
 
 
 def derive_scales(params: SystemParams) -> DerivedScales:

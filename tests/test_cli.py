@@ -1,10 +1,12 @@
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from nopolock.cli import main
+from nopolock import SimConfig, SystemParams
+from nopolock.cli import main, make_parser
 
 
 def read_csv(path):
@@ -100,11 +102,16 @@ class TestVarianceCommand:
         assert code == 3
         assert "regime error" in capsys.readouterr().err
 
-    def test_bad_sweep_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sweep", [
+        "eps_ratio:2:1:0.1", "eps_ratio:0:1:nan", "eps_ratio:0:inf:0.1",
+        "eps_ratio:0:1:abc", "eps_ratio:0:1e300:1e-300"],
+        ids=["stop_below_start", "nan_step", "inf_stop", "text_step", "too_many_points"])
+    def test_bad_sweep_exit_code(self, tmp_path, capsys, sweep):
         code = main(["variance", "--chi", "0.5", "--delta", "3",
-                     "--sweep", "eps_ratio:2:1:0.1", "--outdir", str(tmp_path)])
+                     "--sweep", sweep, "--outdir", str(tmp_path)])
         assert code == 2
-        assert "parameter error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("parameter error:")
+        assert not any(tmp_path.iterdir())
 
     def test_unitary_sweep_needs_mixing(self, tmp_path, capsys):
         # time is measured as chi*t, so the default chi = 0 has no time axis
@@ -273,3 +280,102 @@ class TestConfigPlumbing:
                      "--sweep", "eps_ratio:0.5:0.6:0.1", "--output", "-"]) == 0
         out = capsys.readouterr().out
         assert "eps_ratio,V,R,V_plus,V_minus,product,flag" in out
+
+
+#: the keys each subcommand took before the parameter table, as flags and config keys
+MODEL_KEYS = {"gamma", "gamma1", "gamma2", "gamma3", "delta", "delta1", "delta2",
+              "chi", "k", "E", "phi_L", "phi_k", "phi_chi",
+              "lam", "eps", "eps_ratio", "eps_over_chi"}
+SIM_KEYS = {"dt", "t_max", "n_traj", "burn_in", "seed", "divergence_bound",
+            "scheme", "sample_every", "chunk_size"}
+COMMANDS = {"steady": ["steady"],
+            "variance": ["variance", "--sweep", "eps_ratio:0.5:0.6:0.1"],
+            "mc": ["mc"]}
+#: a short, cheap ensemble for the tests that run ``mc``
+MC_SHORT = ["mc", "--dt", "0.01", "--t-max", "0.1", "--burn-in", "0.05"]
+
+
+def flag(key):
+    return f"--{key.replace('_', '-')}"
+
+
+def outputs(path):
+    return sorted(p.name for p in path.glob("*.csv"))
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_config_keys_and_flags(self, tmp_path, capsys, command):
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text("no_such_key = 1\n")
+        assert main(COMMANDS[command] + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        accepted = set(err.split("accepted keys: ")[1].strip().split(", "))
+        assert accepted == MODEL_KEYS | (SIM_KEYS if command == "mc" else set())
+        parser = make_parser()
+        for key in accepted:
+            ns = parser.parse_args(COMMANDS[command] + [flag(key), "1"])
+            assert getattr(ns, key) is not None, key
+
+    def test_every_field_reaches_the_mc_header(self, tmp_path):
+        # non-default values, exactly representable so the header shows them as given
+        values = {"gamma1": "1.25", "gamma2": "0.75", "gamma3": "120", "delta1": "3",
+                  "delta2": "2.5", "chi": "0.5", "k": "0.25", "E": "4", "phi_L": "0.125",
+                  "phi_k": "0.25", "phi_chi": "-0.5", "dt": "0.002", "t_max": "0.1",
+                  "n_traj": "16", "burn_in": "0.05", "seed": "3", "divergence_bound": "100000",
+                  "scheme": "euler-ito", "sample_every": "5", "chunk_size": "8"}
+        assert set(values) == ({f.name for f in fields(SystemParams)}
+                               | {f.name for f in fields(SimConfig)})
+        args = [x for key, value in values.items() for x in (flag(key), value)]
+        assert main(["mc", *args, "--moments", "n1", "--outdir", str(tmp_path),
+                     "--output", "flags.csv"]) == 0
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        assert main(["mc", "--config", str(cfg), "--moments", "n1",
+                     "--outdir", str(tmp_path), "--output", "file.csv"]) == 0
+        text = (tmp_path / "flags.csv").read_bytes()
+        assert (tmp_path / "file.csv").read_bytes() == text
+        header, _, _ = read_csv(tmp_path / "flags.csv")
+        recorded = dict(line[2:].split(" = ", 1) for line in header[2:])
+        for key, value in values.items():
+            if key == "scheme":
+                assert recorded[key] == value
+            else:
+                assert float(recorded[key]) == float(value), key
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_traj", "abc"), ("n_traj", "1.5"), ("chi", "abc")],
+        ids=["n_traj_abc", "n_traj_1.5", "chi_abc"])
+    def test_bad_value_same_error_from_flag_and_file(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        errors = []
+        for source in ([flag(key), value], ["--config", str(cfg)]):
+            assert main(MC_SHORT + source + ["--outdir", str(tmp_path)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("parameter error:") and key in errors[0]
+        assert outputs(tmp_path) == []
+
+    @pytest.mark.parametrize("args", [
+        ["--chi", "nan", "--delta", "3"], ["--chi", "0.5", "--delta", "3", "--eps", "inf"],
+        ["--chi", "0.5", "--delta", "3", "--lam", "nan"],
+        ["--chi", "0.5", "--delta", "3", "--eps-ratio", "nan"],
+        ["--chi", "0.5", "--delta", "3", "--lam", "-1"]],
+        ids=["chi_nan", "eps_inf", "lam_nan", "eps_ratio_nan", "lam_negative"])
+    def test_bad_model_parameter_exit_code(self, tmp_path, capsys, args):
+        for command in ("steady", "variance"):
+            assert main(COMMANDS[command] + args + ["--outdir", str(tmp_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("parameter error:"), command
+            assert captured.out == ""
+        assert outputs(tmp_path) == []
+
+    @pytest.mark.parametrize("name", ["absent.cfg", "."], ids=["missing", "directory"])
+    def test_unreadable_config_file(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        assert main(["variance", "--config", str(path), "--sweep", "eps_ratio:0.5:0.6:0.1",
+                     "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parameter error: cannot read config file {path}")
+        assert outputs(tmp_path) == []

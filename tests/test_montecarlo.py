@@ -93,7 +93,6 @@ class TestIntegrateTrajectory:
                            divergence_bound=1e-8)
         rec = integrate_trajectory(params, scales, config)
         assert rec.diverged
-        assert rec.final_state.diverged
 
     def test_step_halving_self_convergence(self):
         params, scales = make_system(delta=3.0, chi=0.5, lam=0.05)

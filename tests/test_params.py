@@ -20,6 +20,15 @@ class TestSystemParams:
             with pytest.raises(ParameterDomainError):
                 SystemParams(**{field: -0.1})
 
+    @pytest.mark.parametrize("names", [
+        ("gamma1", "gamma2", "gamma3", "delta1", "delta2"), ("chi", "k", "E"),
+        ("phi_L", "phi_k", "phi_chi")], ids=["rate", "coupling", "phase"])
+    def test_rejects_non_finite(self, names):
+        for name in names:
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ParameterDomainError, match=f"{name} must be finite"):
+                    SystemParams(**{name: value})
+
     def test_adiabatic_violation_warns_not_raises(self):
         with pytest.warns(UserWarning, match="adiabatic"):
             SystemParams(gamma3=5.0)
