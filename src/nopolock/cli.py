@@ -35,6 +35,10 @@ from .steady import critical_points, output_rates, replace_pump, steady_state
 
 OUTDIR_ENV = "NOPOLOCK_OUTDIR"
 
+#: largest grid ``parse_sweep`` builds (the figure grids have about 1200 points);
+#: larger sweeps are refused before any allocation
+MAX_SWEEP_POINTS = 10**6
+
 FIGURE_UNITARY_RATIOS = {1: (0.1, 0.4, 0.7), 2: (1.1, 2.0, 3.0)}
 FIGURE_STEADY_PARAMS = {3: ((0.1, 10.0), (0.5, 3.0), (0.5, 1.0)),
                         4: ((0.5, 3.0),),
@@ -141,11 +145,11 @@ def parse_sweep(spec: str) -> tuple[str, np.ndarray]:
         raise ParameterDomainError("sweep step must be positive")
     if stop < start:
         raise ParameterDomainError("sweep stop must be >= start")
-    count = (stop - start) / step
-    if not math.isfinite(count):
-        raise ParameterDomainError(f"sweep {spec!r} has too many points")
-    n = int(math.floor(count + 1e-9)) + 1
-    return var, start + step * np.arange(n)
+    last = (stop - start) / step + 1e-9  # index of the last point, rounding tolerated
+    if not last < MAX_SWEEP_POINTS:  # also an infinite count
+        raise ParameterDomainError(
+            f"sweep {spec!r} has more than MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS} points")
+    return var, start + step * np.arange(math.floor(last) + 1)
 
 
 def _outdir(ns: argparse.Namespace) -> Path:

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ParameterDomainError, RegimeError, SingularParameterError
 from .params import DerivedScales, SystemParams
@@ -185,6 +184,8 @@ def temporal_corr_below(params: SystemParams, scales: DerivedScales,
     Equals ``expm(-F*tau) C`` for ``tau >= 0`` and ``C expm(-F^T*|tau|)``
     for ``tau < 0``; at ``tau = 0`` it reduces to the stationary covariance.
     """
+    from scipy.linalg import expm  # the only scipy use; kept off the import path
+
     mats = below_matrices(params, scales, eps)
     C4 = 0.5 * np.linalg.solve(mats.F, mats.D)
     if tau >= 0:
@@ -278,6 +279,8 @@ def temporal_corr_above(params: SystemParams, scales: DerivedScales,
 
     ``tau = 0`` reproduces ``(C_plus, C_minus)`` exactly.
     """
+    from scipy.linalg import expm
+
     mats = above_matrices(params, scales, eps)
     out = []
     for F, C in ((mats.F_plus, mats.C_plus), (mats.F_minus, mats.C_minus)):

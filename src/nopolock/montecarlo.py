@@ -22,13 +22,14 @@ stream keyed by ``(seed, j)``.  A job of at most :data:`MAX_CHUNKS_PER_JOB`
 contiguous chunks runs side by side as one wide array, each chunk in its own lanes.
 Every operation is elementwise per lane and per-lane results join in chunk
 order before any reduction, so results are bitwise equal for any worker count.
+Jobs run in a process pool only for ``n_workers > 1``; :func:`_pool_context`
+picks its start method, and ``multiprocessing`` is imported only then.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -261,6 +262,15 @@ def _group_worker(args):
     return alive, sums, counts, hists
 
 
+def _pool_context():
+    """Start method for worker pools: ``fork``, else ``forkserver``, else ``spawn``."""
+    import multiprocessing
+
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        next(m for m in ("fork", "forkserver", "spawn") if m in methods))
+
+
 @dataclass(frozen=True)
 class PhaseHistogram:
     """Histograms of the subharmonic phase difference and sum.
@@ -319,7 +329,7 @@ def sample_ensemble(params: SystemParams, scales: DerivedScales, config: SimConf
     jobs = [(params, scales, config, (int(g[0]), int(g[-1]) + 1), specs, phases, noiseless,
              sample_at) for g in np.array_split(np.arange(n_chunks), n_jobs)]
     if n_workers > 1 and n_jobs > 1:
-        with get_context("fork").Pool(min(n_workers, n_jobs)) as pool:
+        with _pool_context().Pool(min(n_workers, n_jobs)) as pool:
             results = pool.map(_group_worker, jobs)
     else:
         results = [_group_worker(job) for job in jobs]

@@ -249,10 +249,8 @@ def replace_pump(params: SystemParams, scales: DerivedScales,
     """
     if eps == scales.eps:
         return params, scales
-    from dataclasses import replace as dc_replace
-
     E = eps * params.gamma3 / params.k if params.k > 0 else 0.0
-    return dc_replace(params, E=E), dc_replace(scales, eps=eps)
+    return replace(params, E=E), replace(scales, eps=eps)
 
 
 def drift_residual(params: SystemParams, scales: DerivedScales, eps: float,

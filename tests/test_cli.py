@@ -1,12 +1,17 @@
+import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nopolock import SimConfig, SystemParams
-from nopolock.cli import main, make_parser
+import nopolock
+from nopolock import ParameterDomainError, SimConfig, SystemParams
+from nopolock.cli import MAX_SWEEP_POINTS, main, make_parser, parse_sweep
 
 
 def read_csv(path):
@@ -104,14 +109,25 @@ class TestVarianceCommand:
 
     @pytest.mark.parametrize("sweep", [
         "eps_ratio:2:1:0.1", "eps_ratio:0:1:nan", "eps_ratio:0:inf:0.1",
-        "eps_ratio:0:1:abc", "eps_ratio:0:1e300:1e-300"],
-        ids=["stop_below_start", "nan_step", "inf_stop", "text_step", "too_many_points"])
-    def test_bad_sweep_exit_code(self, tmp_path, capsys, sweep):
+        "eps_ratio:0:1:abc", "eps_ratio:0:1e300:1e-300", "eps_ratio:0:1e13:1"],
+        ids=["stop_below_start", "nan_step", "inf_stop", "text_step", "too_many_points",
+             "over_point_cap"])
+    def test_bad_sweep_exit_code(self, tmp_path, capsys, monkeypatch, sweep):
+        def no_grid(*args, **kwargs):
+            raise AssertionError(f"grid allocated for a refused sweep: arange{args}")
+
+        monkeypatch.setattr(np, "arange", no_grid)  # refusal must come first
         code = main(["variance", "--chi", "0.5", "--delta", "3",
                      "--sweep", sweep, "--outdir", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("parameter error:")
         assert not any(tmp_path.iterdir())
+
+    def test_sweep_point_cap_boundary(self):
+        var, grid = parse_sweep(f"x:0:{MAX_SWEEP_POINTS - 1}:1")
+        assert var == "x" and grid.size == MAX_SWEEP_POINTS
+        with pytest.raises(ParameterDomainError, match="MAX_SWEEP_POINTS"):
+            parse_sweep(f"x:0:{MAX_SWEEP_POINTS}:1")
 
     def test_unitary_sweep_needs_mixing(self, tmp_path, capsys):
         # time is measured as chi*t, so the default chi = 0 has no time axis
@@ -379,3 +395,30 @@ class TestParameterTable:
         err = capsys.readouterr().err
         assert err.startswith(f"parameter error: cannot read config file {path}")
         assert outputs(tmp_path) == []
+
+
+COLD_START = """
+import json, sys
+from nopolock.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.split(".")[0] in ("scipy", "multiprocessing"))]))
+"""
+
+
+def test_cli_runs_load_neither_scipy_nor_multiprocessing(tmp_path):
+    # a fresh interpreter: what these runs import is what a user's start pays for
+    runs = [["figure", "3"],
+            ["variance", "--chi", "0.5", "--delta", "3", "--sweep", "eps_ratio:0.5:2:0.5"],
+            ["steady", "--chi", "0.5", "--delta", "3", "--eps-ratio", "2"],
+            ["mc", "--chi", "0.5", "--delta", "3", "--lam", "0.05", "--eps-ratio", "0.6",
+             "--t-max", "0.1", "--burn-in", "0.05", "--n-traj", "4", "--workers", "1"]]
+    src = str(Path(nopolock.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(runs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from nopolock import (ParameterDomainError, RegimeError, SingularParameterError,
@@ -29,6 +31,16 @@ class TestBelowMatrices:
     def test_drift_diffusion_identity(self, standard):
         mats = below_matrices(*standard, eps=1.0)
         assert np.abs(mats.D @ mats.F.T - mats.F @ mats.D).max() < 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(chi=st.floats(0.0, 5.0), abs_delta=st.floats(0.0, 10.0),
+           sign=st.sampled_from([1.0, -1.0]), gamma=st.floats(0.1, 5.0),
+           ratio=st.floats(0.0, 0.99, exclude_min=True))
+    def test_drift_diffusion_identity_property(self, chi, abs_delta, sign, gamma, ratio):
+        params, scales, eps = at_ratio(*make_system(gamma=gamma, delta=sign * abs_delta,
+                                                    chi=chi), ratio)
+        mats = below_matrices(params, scales, eps)
+        assert np.abs(mats.D @ mats.F.T - mats.F @ mats.D).max() <= 1e-12 * max(1.0, eps * gamma)
 
     def test_noise_scalar_positive_below_threshold(self, standard):
         params, scales = standard

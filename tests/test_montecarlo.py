@@ -235,6 +235,30 @@ class TestEngine:
         assert max(widths) <= montecarlo.MAX_CHUNKS_PER_JOB * config.chunk_size
         assert max(blocks) == montecarlo.NOISE_BLOCK_STEPS < config.sample_every
 
+    @pytest.mark.parametrize("methods, expected", [
+        (["fork", "spawn", "forkserver"], "fork"), (["spawn", "forkserver"], "forkserver"),
+        (["spawn"], "spawn")])
+    def test_pool_start_method_fallback(self, monkeypatch, methods, expected):
+        import multiprocessing
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        assert montecarlo._pool_context().get_start_method() == expected
+
+    def test_spawned_workers_bitwise_equal_one_worker(self, monkeypatch):
+        # where fork is missing, workers re-import the package and unpickle their jobs
+        import multiprocessing
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        used, pool_context = [], montecarlo._pool_context
+
+        def recording_context():
+            used.append(pool_context())
+            return used[-1]
+
+        monkeypatch.setattr(montecarlo, "_pool_context", recording_context)
+        self.test_lane_batching_bitwise_across_workers()
+        self.test_frozen_lanes_bitwise_across_workers()
+        assert len(used) == 4
+        assert {ctx.get_start_method() for ctx in used} == {"spawn"}
+
     @pytest.mark.parametrize("workers", [0, -3, 1.5])
     def test_worker_count_must_be_positive_integer(self, standard, workers):
         params, scales = standard

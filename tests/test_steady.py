@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from nopolock import (NotSteadyStateError, ParameterDomainError, SystemParams,
                       critical_points, derive_scales, drift_residual,
@@ -128,6 +130,23 @@ class TestSteadyState:
                                                       round(z.imag, 9))))
 
         np.testing.assert_allclose(ordered(ev2), ordered(st.eigenvalues), atol=1e-9)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(chi=hst.floats(0.05, 5.0), abs_delta=hst.floats(0.05, 10.0),
+           sign=hst.sampled_from([1.0, -1.0]), lam=hst.floats(0.01, 2.0),
+           ratio=hst.floats(1.01, 20.0), branch=hst.sampled_from(["+", "-"]))
+    def test_twin_spectrum_property(self, chi, abs_delta, sign, lam, ratio, branch):
+        params, scales, eps = at_ratio(*make_system(delta=sign * abs_delta, chi=chi, lam=lam),
+                                       ratio)
+        state = steady_state(params, scales, eps, branch=branch)
+        assume(not state.is_zero)  # the '-' family starts above its critical point
+        ev, stable = stability_eigenvalues(params, scales, eps, state.state_vector())
+        ev2, stable2 = stability_eigenvalues(params, scales, eps, state.twin().state_vector())
+        # same characteristic polynomial: a double eigenvalue (gamma, at strong
+        # mixing) moves by sqrt(roundoff) between the two, its polynomial does not
+        scale = max(1.0, np.abs(ev).max()) ** np.arange(len(ev) + 1)
+        np.testing.assert_array_less(np.abs(np.poly(ev) - np.poly(ev2)), 1e-12 * scale)
+        assert stable2 == stable
 
 
 class TestStability:
