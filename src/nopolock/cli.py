@@ -49,6 +49,16 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def fmt_rows(*columns, flag=None) -> list[str]:
+    """CSV lines of float columns, each value as ``"%.17g" % x == fmt(x)``, then ``flag``."""
+    cells = [np.asarray(column, dtype=float).tolist() for column in columns]
+    line = ",".join(["%.17g"] * len(cells))
+    if flag is not None:
+        cells.append(np.asarray(flag).tolist())
+        line += ",%s"
+    return [line % row for row in zip(*cells)]
+
+
 # ---------------------------------------------------------------------------
 # configuration plumbing: one table of keys, shared by flags and --config
 
@@ -166,8 +176,8 @@ def _header(ns: argparse.Namespace, params: SystemParams, extra: dict) -> list[s
 
 
 def _write_csv(path: Path | None, header: list[str], columns: list[str],
-               rows: list[list[str]]) -> None:
-    text = "\n".join(header + [",".join(columns)] + [",".join(r) for r in rows]) + "\n"
+               rows: list[str]) -> None:
+    text = "\n".join(header + [",".join(columns)] + rows) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -220,15 +230,14 @@ def _variance_rows(params, scales, eps, ns, var, grid):
             raise ParameterDomainError(
                 "unitary sweeps measure time as chi*t and need chi > 0")
         values = unitary_variance(params.chi, eps, grid / params.chi, ns.sigma_theta)
-        return [[fmt(x), fmt(v), fmt(0.0), fmt(v), fmt(v), fmt(v * v), "ok"]
-                for x, v in zip(grid, values)]
+        return fmt_rows(grid, values, np.zeros(grid.shape), values, values, values * values,
+                        flag=["ok"] * grid.size)
     if var != "eps_ratio":
         raise ParameterDomainError("steady-state sweeps use the variable eps_ratio")
     sweep = variance_sweep(params, scales, grid * scales.eps_th, ns.delta_theta,
                            regime=ns.regime)
-    return [[fmt(x), fmt(v), fmt(r), fmt(vp), fmt(vm), fmt(p), flag]
-            for x, v, r, vp, vm, p, flag in zip(grid, sweep.V, sweep.R, sweep.V_plus,
-                                                sweep.V_minus, sweep.product, sweep.flag)]
+    return fmt_rows(grid, sweep.V, sweep.R, sweep.V_plus, sweep.V_minus, sweep.product,
+                    flag=sweep.flag)
 
 
 def cmd_variance(ns: argparse.Namespace) -> int:
@@ -261,13 +270,13 @@ def cmd_mc(ns: argparse.Namespace) -> int:
         key: fmt(value) if isinstance(value, float) else value for key, value in setup.items()}})
     columns = ["observable", "mean_re", "mean_im", "std_error",
                "n_effective", "discard_fraction"]
-    rows = [[e.label, fmt(e.mean.real), fmt(e.mean.imag), fmt(e.std_error),
-             str(e.n_effective), fmt(e.discard_fraction)] for e in estimates]
+    rows = [",".join([e.label, fmt(e.mean.real), fmt(e.mean.imag), fmt(e.std_error),
+                      str(e.n_effective), fmt(e.discard_fraction)]) for e in estimates]
     out = None if ns.output == "-" else _outdir(ns) / (ns.output or "mc.csv")
     _write_csv(out, header, columns, rows)
 
     if hist is not None:
-        rows = [[fmt(lo), fmt(hi), str(cd), str(cs)]
+        rows = [f"{fmt(lo)},{fmt(hi)},{cd},{cs}"
                 for lo, hi, cd, cs in zip(hist.edges[:-1], hist.edges[1:],
                                           hist.counts_diff, hist.counts_sum)]
         extra = {"locked_fraction_0.3": fmt(hist.locked_fraction(0.3))}
@@ -288,9 +297,8 @@ def _figure_curves(n: int, ns: argparse.Namespace):
             np.arange(0.0, 1.2 + 1e-9, 0.002)
         for i, ratio in enumerate(FIGURE_UNITARY_RATIOS[n], 1):
             values = unitary_variance(chi, ratio * chi, grid / chi)
-            rows = [[fmt(ct), fmt(v)] for ct, v in zip(grid, values)]
             yield (f"fig{n}_curve{i}.csv", {"eps_over_chi": fmt(ratio)},
-                   ["chi_t", "V"], rows)
+                   ["chi_t", "V"], fmt_rows(grid, values))
         return
     grid = np.arange(0.01, 3.0 + 1e-9, 0.005)
     for i, (chi, delta) in enumerate(FIGURE_STEADY_PARAMS[n], 1):
@@ -301,10 +309,8 @@ def _figure_curves(n: int, ns: argparse.Namespace):
                    4: ["eps_ratio", "V_plus", "V_minus", "flag"],
                    5: ["eps_ratio", "product", "flag"]}[n]
         values = [getattr(sweep, name) for name in columns[1:-1]]
-        rows = [[fmt(ratio), *map(fmt, row), flag]
-                for ratio, *row, flag in zip(grid, *values, sweep.flag)]
         yield (f"fig{n}_curve{i}.csv", {"chi": fmt(chi), "delta": fmt(delta)},
-               columns, rows)
+               columns, fmt_rows(grid, *values, flag=sweep.flag))
 
 
 def cmd_figure(ns: argparse.Namespace) -> int:

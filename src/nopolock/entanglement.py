@@ -197,6 +197,8 @@ def variance_sweep(params: SystemParams, scales: DerivedScales, eps: np.ndarray 
     closed forms against ``(1/2) F^-1 D``, above it the drift residual and
     the stability solve of the locked state.
     """
+    if not math.isfinite(delta_theta):
+        raise ParameterDomainError(f"delta_theta must be finite, got {delta_theta!r}")
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
     edge = scales.eps_th * (1 - _THRESHOLD_HANDOFF)
     if regime == "below":
@@ -320,6 +322,8 @@ def unitary_variance(chi: float, eps: float, t: float | np.ndarray,
         raise ParameterDomainError("time must be non-negative")
     if chi < 0 or eps < 0:
         raise ParameterDomainError("chi and eps must be non-negative")
+    if not math.isfinite(sigma_theta):
+        raise ParameterDomainError(f"sigma_theta must be finite, got {sigma_theta!r}")
     # photon number n and the (real) pair moment <a1 a2> of the evolved vacuum
     if abs(chi - eps) <= _BOUNDARY_RTOL * max(chi, eps, 1e-300):
         n, m_aa = eps**2 * t**2, eps * t

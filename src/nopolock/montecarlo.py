@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -82,6 +83,10 @@ class SimConfig:
         if abs(self.t_max - round(self.t_max / self.dt) * self.dt) > 1e-9 * self.t_max:
             raise ParameterDomainError(
                 f"t_max = {self.t_max!r} is not a whole number of steps dt = {self.dt!r}")
+        for name in ("n_traj", "seed", "sample_every", "chunk_size"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ParameterDomainError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_traj < 2:
             raise ParameterDomainError("n_traj must be at least 2")
         if not self.divergence_bound > 0:
@@ -233,7 +238,10 @@ def _accumulate(state, alive, specs, sums, counts, hists) -> None:
     """One sample time: per-lane moment products and live counts, phase histograms."""
     counts += alive
     for total, spec in zip(sums, specs):
-        prod = np.prod([state[row] ** p for row, p in enumerate(spec) if p], axis=0)
+        # elementwise products: np.prod over stacked factors runs numpy's reduction
+        # kernel on a one-lane job, which can round differently (worker-count bits)
+        factors = [state[row] ** p for row, p in enumerate(spec) if p] or [np.ones(alive.shape)]
+        prod = reduce(np.multiply, factors)
         total += np.where(alive, prod, 0)
     if hists:
         ph1, ph2 = np.angle(state[0, alive]), np.angle(state[1, alive])

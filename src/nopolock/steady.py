@@ -202,14 +202,16 @@ def stability_eigenvalues(params: SystemParams, scales: DerivedScales, eps: floa
                           state: np.ndarray) -> tuple[np.ndarray, bool]:
     """Decay rates of deviations around a steady state, and a stability verdict.
 
-    Returns the eigenvalues of minus the drift Jacobian: positive real parts
-    mean decay.  ``stable`` is true when every real part exceeds
-    ``STABILITY_RTOL * min(gamma1, gamma2)``.
+    Returns the eigenvalues of minus the drift Jacobian, sorted by real then
+    imaginary part: positive real parts mean decay.  ``stable`` is true when
+    every real part exceeds ``STABILITY_RTOL * min(gamma1, gamma2)``.
 
     Raises
     ------
     NotSteadyStateError
         When ``state`` is not actually a steady state of the drift.
+    ParameterDomainError
+        When the betas of ``state`` are not the conjugates of its alphas (1e-12 relative).
     """
     state = np.asarray(state, dtype=complex)
     ev, stable = _stability(params, scales, np.array([eps], dtype=float), state[:, None])
@@ -220,12 +222,14 @@ def _stability(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
                states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`stability_eigenvalues` of the states ``(4, n)`` at the pumps ``eps``.
 
-    The residual check and the eigenvalue solve each run once on the whole
-    batch; the first state that fails the check raises.
+    Every check and the eigenvalue solve run once on the whole batch; the
+    first state that fails a check raises.
     """
+    amp = 1.0 + np.abs(states).max(axis=0)
+    if (np.abs(states[2:] - states[:2].conj()) > 1e-12 * amp).any():
+        raise ParameterDomainError("stability needs a classical state, beta = conj(alpha)")
     eff = replace(scales, eps=eps)  # the drift broadcasts one pump per state
     resid = np.abs(drift_field(states, params, eff)).max(axis=0)
-    amp = 1.0 + np.abs(states).max(axis=0)
     rate = np.maximum(max(params.gamma1, params.gamma2, abs(params.delta1),
                           abs(params.delta2), params.chi),
                       np.maximum(eps, scales.lam * amp**2))
@@ -236,7 +240,12 @@ def _stability(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
         raise NotSteadyStateError(
             f"state is not steady: drift residual {resid[i]:.3e} "
             f"exceeds {bound[i]:.3e} at eps = {eps[i]:.6g}")
-    ev = np.linalg.eigvals(-drift_jacobian(states, params, eff))
+    # on classical states -J = [[P, Q], [conj Q, conj P]], unitarily similar
+    # to the real Jacobian of the flow in quadratures, which LAPACK solves faster
+    M = -drift_jacobian(states, params, eff)
+    S, D = M[..., :2, :2] + M[..., :2, 2:], M[..., :2, :2] - M[..., :2, 2:]
+    ev = np.linalg.eigvals(np.block([[S.real, -D.imag], [S.imag, D.real]]))
+    ev = np.sort(ev.astype(complex), axis=-1)
     tol = STABILITY_RTOL * min(params.gamma1, params.gamma2)
     return ev, np.all(ev.real > tol, axis=-1)
 

@@ -11,7 +11,7 @@ import pytest
 
 import nopolock
 from nopolock import ParameterDomainError, SimConfig, SystemParams
-from nopolock.cli import MAX_SWEEP_POINTS, main, make_parser, parse_sweep
+from nopolock.cli import MAX_SWEEP_POINTS, fmt, fmt_rows, main, make_parser, parse_sweep
 
 
 def read_csv(path):
@@ -52,6 +52,15 @@ class TestSteadyCommand:
         out = capsys.readouterr().out
         assert "eps_th     = 1" in out
         assert "infeasible" in out
+
+
+def test_fmt_rows_equals_fmt_joined():
+    values = [0.1 + 0.2, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+    column = np.array(values)
+    assert fmt_rows(column, column[::-1]) == [
+        f"{fmt(x)},{fmt(y)}" for x, y in zip(values, values[::-1])]
+    flags = ["ok"] * len(values)
+    assert fmt_rows(column, flag=np.array(flags)) == [f"{fmt(x)},ok" for x in values]
 
 
 class TestVarianceCommand:
@@ -121,6 +130,18 @@ class TestVarianceCommand:
                      "--sweep", sweep, "--outdir", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("parameter error:")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag, regime, sweep", [
+        ("--delta-theta", "auto", "eps_ratio:0.5:1.5:0.5"),
+        ("--sigma-theta", "unitary", "chi_t:0:1:0.5")], ids=["delta_theta", "sigma_theta"])
+    def test_non_finite_angle_exit_code(self, tmp_path, capsys, flag, regime, sweep, value):
+        code = main(["variance", "--chi", "0.5", "--delta", "3", "--eps-ratio", "0.5",
+                     "--regime", regime, "--sweep", sweep, f"{flag}={value}",
+                     "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_sweep_point_cap_boundary(self):

@@ -314,6 +314,18 @@ class TestVarianceSweep:
                 assert getattr(sweep, name)[i] == pytest.approx(
                     value, rel=1e-12, abs=1e-12), (name, e)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_difference_angle_refused(self, standard, angle):
+        params, scales = standard
+        eps = np.array([0.5, 1.5]) * scales.eps_th
+        for regime, points in (("below", eps[:1]), ("above", eps[1:]), ("auto", eps)):
+            with pytest.raises(ParameterDomainError, match="delta_theta must be finite"):
+                variance_sweep(params, scales, points, angle, regime)
+        for view, point in ((variance_steady, eps[0]), (variance_below, eps[0]),
+                            (variance_above, eps[1])):
+            with pytest.raises(ParameterDomainError, match="delta_theta must be finite"):
+                view(params, scales, point, angle)
+
     def test_single_point_evaluators_are_views(self, standard):
         params, scales = standard
         eps = np.array([0.0, 0.4, 0.97, 1 - 1e-10, 1.0, 1.02, 2.5]) * scales.eps_th
@@ -471,6 +483,11 @@ class TestUnitary:
                 rtol=1e-13, atol=0)
         with pytest.raises(ParameterDomainError):
             unitary_variance(1.0, 0.5, np.array([0.1, -0.1]))
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sum_angle_refused(self, angle):
+        with pytest.raises(ParameterDomainError, match="sigma_theta must be finite"):
+            unitary_variance(1.0, 0.5, np.array([0.0, 0.6]), sigma_theta=angle)
 
     def test_sigma_theta_slice(self):
         # turning the sum angle off kills the squeezing term

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nopolock import (EstimationError, ParameterDomainError, PhaseHistogram,
                       SimConfig, adiabatic_pump, drift_field, ensemble_moments,
@@ -122,6 +124,24 @@ class TestDeterminism:
                 assert a.mean == b.mean
                 assert a.std_error == b.std_error
                 assert a.n_effective == b.n_effective
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(ratio=hst.sampled_from([0.6, 1.5]), n_traj=hst.integers(2, 40),
+           chunk_size=hst.integers(1, 16), sample_every=hst.integers(1, 5),
+           n_steps=hst.integers(20, 60), seed=hst.integers(0, 2**32))
+    def test_worker_count_invariance_property(self, ratio, n_traj, chunk_size,
+                                              sample_every, n_steps, seed):
+        params, scales, _ = at_ratio(*make_system(delta=3.0, chi=0.5, lam=0.05), ratio)
+        config = SimConfig(dt=2e-3, t_max=n_steps * 2e-3, n_traj=n_traj,
+                           burn_in=n_steps * 1e-3, seed=seed, chunk_size=chunk_size,
+                           sample_every=sample_every)
+        runs = [sample_ensemble(params, scales, config, ["n1", "a1a2", "b1a2", (2, 0, 1, 1)],
+                                n_workers=w, phases=True) for w in (1, 2, 3)]
+        for estimates, hist in runs[1:]:
+            assert estimates == runs[0][0]
+            for field in dataclasses.fields(PhaseHistogram):
+                np.testing.assert_array_equal(getattr(hist, field.name),
+                                              getattr(runs[0][1], field.name))
 
     def test_rerun_identical(self, standard):
         params, scales, eps = at_ratio(*standard, 0.4)
@@ -285,6 +305,12 @@ class TestSimConfigDomain:
     @pytest.mark.parametrize("field", ["dt", "t_max", "burn_in"])
     def test_steps_and_horizon_must_be_finite(self, field, value):
         with pytest.raises(ParameterDomainError, match=field):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_traj", 20.5), ("chunk_size", 4.5), ("sample_every", 2.5), ("seed", 1.5)])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ParameterDomainError, match=f"{field} must be an integer"):
             SimConfig(**{field: value})
 
     def test_horizon_must_be_whole_number_of_steps(self):

@@ -9,6 +9,8 @@ from nopolock import (NotSteadyStateError, ParameterDomainError, SystemParams,
                       critical_points, derive_scales, drift_residual,
                       output_rates, stability_eigenvalues, steady_state)
 from nopolock.dynamics import drift_field, drift_jacobian
+from nopolock.params import locking_feasible
+from nopolock.steady import STABILITY_RTOL
 
 from conftest import assert_close, at_ratio, make_system
 
@@ -183,6 +185,43 @@ class TestStability:
         with pytest.raises(NotSteadyStateError):
             stability_eigenvalues(params, scales, 1.0,
                                   np.array([0.5, 0.0, 0.5, 0.0], complex))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(symmetric=hst.booleans(), gamma2=hst.floats(0.5, 2.0),
+           abs_delta=hst.floats(0.05, 10.0), detuning_ratio=hst.floats(0.5, 2.0),
+           sign=hst.sampled_from([1.0, -1.0]), chi=hst.floats(0.05, 5.0),
+           k=hst.floats(0.1, 1.5), ratio=hst.floats(1.01, 20.0),
+           branch=hst.sampled_from(["+", "-"]))
+    def test_real_form_matches_complex_solve_property(self, symmetric, gamma2, abs_delta,
+                                                      detuning_ratio, sign, chi, k, ratio,
+                                                      branch):
+        if symmetric:
+            gamma2, detuning_ratio = 1.0, 1.0
+        params = SystemParams(gamma1=1.0, gamma2=gamma2, delta1=sign * abs_delta,
+                              delta2=sign * abs_delta * detuning_ratio, chi=chi, k=k)
+        assume(locking_feasible(params))
+        params, scales, eps = at_ratio(params, derive_scales(params), ratio)
+        state = steady_state(params, scales, eps, branch=branch)
+        assume(not state.is_zero)
+        ev, stable = stability_eigenvalues(params, scales, eps, state.state_vector())
+        ref = np.linalg.eigvals(-drift_jacobian(state.state_vector(), params, scales))
+        # same characteristic polynomial (a double eigenvalue may split by
+        # sqrt(roundoff) differently in the two solves), same verdict, sorted
+        scale = max(1.0, np.abs(ref).max()) ** np.arange(len(ref) + 1)
+        np.testing.assert_array_less(np.abs(np.poly(ev) - np.poly(ref)), 1e-12 * scale)
+        assert stable == bool(np.all(ref.real > STABILITY_RTOL * min(1.0, gamma2)))
+        assert ev.dtype == complex and list(ev) == sorted(ev, key=lambda z: (z.real, z.imag))
+
+    def test_non_classical_state_refused(self, standard):
+        params, scales, eps = at_ratio(*standard, 1.8)
+        state = steady_state(params, scales, eps).state_vector()
+        for beta_shift in (1e-6, 1e-6j):
+            shifted = state.copy()
+            shifted[2] += beta_shift
+            with pytest.raises(ParameterDomainError, match="classical"):
+                stability_eigenvalues(params, scales, eps, shifted)
+        with pytest.raises(ParameterDomainError, match="classical"):
+            stability_eigenvalues(params, scales, 0.0, np.array([0.5, 0.0, 0.3, 0.0]))
 
     def test_analytic_jacobian_matches_finite_differences(self, standard):
         params, scales, eps = at_ratio(*standard, 1.7)
