@@ -241,6 +241,9 @@ def _variance_rows(params, scales, eps, ns, var, grid):
 
 
 def cmd_variance(ns: argparse.Namespace) -> int:
+    for name in ("delta_theta", "sigma_theta"):  # refused in every regime, used or not
+        if not math.isfinite(getattr(ns, name)):
+            raise ParameterDomainError(f"{name} must be finite, got {getattr(ns, name)}")
     params, eps = build_params(_settings(ns))
     params, scales = replace_pump(params, derive_scales(params), eps)
     var, grid = parse_sweep(ns.sweep)
@@ -412,8 +415,16 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser ``main`` uses, built by its first call (not at import, which
+#: stays cheap) and reused by every later call in the same process
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    ns = make_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = make_parser()
+    ns = _parser.parse_args(argv)
     try:
         return ns.func(ns)
     except ParameterDomainError as exc:

@@ -341,41 +341,22 @@ def unitary_variance(chi: float, eps: float, t: float | np.ndarray,
 def unitary_minimum(chi: float, eps: float) -> tuple[float, float]:
     """First time and value of the variance minimum at ``cos(sigma_theta) = 1``.
 
-    Solved by bisection of ``dV/dt`` over the first monotonic interval;
-    the minimum value equals ``chi / (eps + chi)`` in both rate regimes.
+    ``dV/dt = 0`` first at ``t = arctan(mu/eps) / (2 mu)`` with ``mu^2 = chi^2
+    - eps^2`` for ``eps < chi``, at ``t = artanh(eta/eps) / (2 eta)`` with
+    ``eta^2 = eps^2 - chi^2`` for ``eps > chi``, and at ``t = 1/(2 eps)`` on the
+    boundary; the minimum value equals ``chi / (eps + chi)`` in every regime.
     """
-    if chi <= 0 or eps <= 0:
-        raise ParameterDomainError("unitary_minimum requires chi > 0 and eps > 0")
-    scale = max(chi, eps)
-    if abs(chi - eps) <= _BOUNDARY_RTOL * scale:
-        t = 1 / (2 * eps)
-        return t, unitary_variance(chi, eps, t)
-
-    if eps < chi:
+    if not (0 < chi < math.inf and 0 < eps < math.inf):
+        raise ParameterDomainError("unitary_minimum requires finite chi > 0 and eps > 0")
+    if abs(chi - eps) <= _BOUNDARY_RTOL * max(chi, eps):
+        t_min = 1 / (2 * eps)
+    elif eps < chi:
         mu = math.sqrt(chi**2 - eps**2)
-
-        def dv(t: float) -> float:
-            return (2 * eps**2 / mu) * math.sin(2 * mu * t) - 2 * eps * math.cos(2 * mu * t)
-
-        lo, hi = 0.0, math.pi / (2 * mu)
+        t_min = math.atan(mu / eps) / (2 * mu)
     else:
         eta = math.sqrt(eps**2 - chi**2)
-
-        def dv(t: float) -> float:
-            return (2 * eps**2 / eta) * math.sinh(2 * eta * t) - 2 * eps * math.cosh(2 * eta * t)
-
-        lo, hi = 0.0, 1 / (2 * eta)
-        while dv(hi) < 0:
-            hi *= 2
-
-    tol = 1e-12 / chi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if dv(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    t_min = 0.5 * (lo + hi)
+        # artanh(eta/eps) without the pole: eta/eps rounds to 1 once chi/eps < 1e-8
+        t_min = math.log((eps + eta) / chi) / (2 * eta)
     return t_min, unitary_variance(chi, eps, t_min)
 
 

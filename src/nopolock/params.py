@@ -240,6 +240,13 @@ class QuadratureAngles:
     phi_chi: float = 0.0
     degenerate: bool = field(default=False, compare=False)
 
+    def __post_init__(self) -> None:
+        from .errors import ParameterDomainError
+
+        for name in ("theta1", "theta2", "phi_L", "phi_k", "phi_chi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterDomainError(f"{name} must be finite, got {getattr(self, name)}")
+
     @property
     def sigma_theta(self) -> float:
         return wrap_angle(self.theta1 + self.theta2 + self.phi_L + self.phi_k)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nopolock
-from nopolock import ParameterDomainError, SimConfig, SystemParams
+from nopolock import ParameterDomainError, SimConfig, SystemParams, cli
 from nopolock.cli import MAX_SWEEP_POINTS, fmt, fmt_rows, main, make_parser, parse_sweep
 
 
@@ -135,7 +135,10 @@ class TestVarianceCommand:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag, regime, sweep", [
         ("--delta-theta", "auto", "eps_ratio:0.5:1.5:0.5"),
-        ("--sigma-theta", "unitary", "chi_t:0:1:0.5")], ids=["delta_theta", "sigma_theta"])
+        ("--sigma-theta", "unitary", "chi_t:0:1:0.5"),
+        ("--sigma-theta", "auto", "eps_ratio:0.5:1.5:0.5"),  # an angle the regime ignores
+        ("--delta-theta", "unitary", "chi_t:0:1:0.5")],
+        ids=["delta_theta", "sigma_theta", "sigma_theta_steady", "delta_theta_unitary"])
     def test_non_finite_angle_exit_code(self, tmp_path, capsys, flag, regime, sweep, value):
         code = main(["variance", "--chi", "0.5", "--delta", "3", "--eps-ratio", "0.5",
                      "--regime", regime, "--sweep", sweep, f"{flag}={value}",
@@ -420,26 +423,58 @@ class TestParameterTable:
 
 COLD_START = """
 import json, sys
-from nopolock.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(m for m in sys.modules
-                                if m.split(".")[0] in ("scipy", "multiprocessing"))]))
+from nopolock import cli
+built_at_import = cli._parser is not None
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, built_at_import, sorted(m for m in sys.modules
+                                                 if m.split(".")[0] in ("scipy", "multiprocessing"))]))
 """
+
+#: one run of each subcommand, small enough for a unit test
+RUNS = [["figure", "3"],
+        ["variance", "--chi", "0.5", "--delta", "3", "--sweep", "eps_ratio:0.5:2:0.5"],
+        ["steady", "--chi", "0.5", "--delta", "3", "--eps-ratio", "2"],
+        ["mc", "--chi", "0.5", "--delta", "3", "--lam", "0.05", "--eps-ratio", "0.6",
+         "--t-max", "0.1", "--burn-in", "0.05", "--n-traj", "4", "--workers", "1"]]
 
 
 def test_cli_runs_load_neither_scipy_nor_multiprocessing(tmp_path):
     # a fresh interpreter: what these runs import is what a user's start pays for
-    runs = [["figure", "3"],
-            ["variance", "--chi", "0.5", "--delta", "3", "--sweep", "eps_ratio:0.5:2:0.5"],
-            ["steady", "--chi", "0.5", "--delta", "3", "--eps-ratio", "2"],
-            ["mc", "--chi", "0.5", "--delta", "3", "--lam", "0.05", "--eps-ratio", "0.6",
-             "--t-max", "0.1", "--burn-in", "0.05", "--n-traj", "4", "--workers", "1"]]
     src = str(Path(nopolock.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(runs)], cwd=tmp_path,
+    done = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(RUNS)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    codes, built_at_import, loaded = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
+    assert not built_at_import
     assert loaded == []
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    def run(call, argv, outdir):
+        """(stdout, {file name: bytes}) of one run writing into ``outdir``."""
+        outdir.mkdir()
+        assert call(argv + ([] if argv[0] == "steady" else ["--outdir", str(outdir)])) == 0
+        return (capsys.readouterr().out.replace(str(outdir), "OUT"),
+                {path.name: path.read_bytes() for path in outdir.iterdir()})
+
+    def fresh_parser(argv):
+        ns = make_parser().parse_args(argv)
+        return ns.func(ns)
+
+    built = []
+
+    def counting_make_parser():
+        built.append(1)
+        return make_parser()
+
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "make_parser", counting_make_parser)
+    for i, argv in enumerate(RUNS):
+        expected = run(fresh_parser, argv, tmp_path / f"fresh{i}")
+        assert expected[0] and (argv[0] == "steady" or expected[1]), argv
+        for repeat in ("a", "b"):
+            assert run(main, argv, tmp_path / f"main{i}{repeat}") == expected, argv
+    assert len(built) == 1

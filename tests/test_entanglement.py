@@ -537,3 +537,13 @@ class TestUnitaryMinimum:
             unitary_minimum(0.0, 1.0)
         with pytest.raises(ParameterDomainError):
             unitary_minimum(1.0, 0.0)
+        for chi, eps in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
+            with pytest.raises(ParameterDomainError):
+                unitary_minimum(chi, eps)
+
+    def test_weak_mixing(self):
+        # eta/eps rounds to 1 here, the pole of artanh; V = chi/(eps + chi) = 1e-9
+        # is lost to cancellation between terms of size 1e9, so only its scale is checked
+        t_min, v_min = unitary_minimum(1e-9, 1.0)
+        assert t_min == pytest.approx(math.log(2e9) / 2, rel=1e-12)
+        assert abs(v_min) < 1e-6

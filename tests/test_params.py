@@ -141,6 +141,16 @@ class TestAngles:
             assert ang.sigma_theta == pytest.approx(wrap_angle(st), abs=1e-12)
             assert ang.delta_theta == pytest.approx(wrap_angle(dt), abs=1e-12)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, value):
+        for sums in ((value, 0.0), (0.0, value)):
+            with pytest.raises(ParameterDomainError, match="must be finite"):
+                QuadratureAngles.from_sums(*sums)
+        for name in ("theta1", "theta2", "phi_L", "phi_k", "phi_chi"):
+            kwargs = {"theta1": 0.0, "theta2": 0.0, name: value}
+            with pytest.raises(ParameterDomainError, match=f"{name} must be finite"):
+                QuadratureAngles(**kwargs)
+
     def test_from_sums_absorbs_interaction_phases(self):
         p = SystemParams(phi_L=0.4, phi_k=-0.7, phi_chi=1.1, chi=0.2)
         ang = QuadratureAngles.from_sums(0.9, 0.2, p)
