@@ -30,7 +30,7 @@ from . import __version__
 from .entanglement import unitary_variance, variance_sweep
 from .errors import (EstimationError, ParameterDomainError, RegimeError)
 from .montecarlo import SimConfig, parse_moment_spec, sample_ensemble
-from .params import SystemParams, derive_scales, locking_feasible
+from .params import DerivedScales, SystemParams, derive_scales, locking_feasible
 from .steady import critical_points, output_rates, replace_pump, steady_state
 
 OUTDIR_ENV = "NOPOLOCK_OUTDIR"
@@ -113,8 +113,8 @@ def _settings(ns: argparse.Namespace) -> dict:
     return merged
 
 
-def build_params(values: dict) -> tuple[SystemParams, float]:
-    """Assemble SystemParams and the working pump rate from merged settings."""
+def build_params(values: dict) -> tuple[SystemParams, DerivedScales]:
+    """SystemParams and scales from merged settings, pumped at the working rate."""
     model = {f.name: values[f.name] for f in fields(SystemParams) if f.name in values}
     for name, shorthand, default in (("gamma1", "gamma", 1.0), ("gamma2", "gamma", 1.0),
                                      ("delta1", "delta", 0.0), ("delta2", "delta", 0.0)):
@@ -133,10 +133,12 @@ def build_params(values: dict) -> tuple[SystemParams, float]:
     if "eps_ratio" in values:
         if not scales.eps_th == scales.eps_th:  # NaN guard
             raise ParameterDomainError("eps-ratio needs a defined threshold")
-        return params, values["eps_ratio"] * scales.eps_th
-    if "eps_over_chi" in values:
-        return params, values["eps_over_chi"] * params.chi
-    return params, values.get("eps", scales.eps)
+        eps = values["eps_ratio"] * scales.eps_th
+    elif "eps_over_chi" in values:
+        eps = values["eps_over_chi"] * params.chi
+    else:
+        eps = values.get("eps", scales.eps)
+    return replace_pump(params, scales, eps)
 
 
 def parse_sweep(spec: str) -> tuple[str, np.ndarray]:
@@ -189,8 +191,8 @@ def _write_csv(path: Path | None, header: list[str], columns: list[str],
 # subcommands
 
 def cmd_steady(ns: argparse.Namespace) -> int:
-    params, eps = build_params(_settings(ns))
-    params, scales = replace_pump(params, derive_scales(params), eps)
+    params, scales = build_params(_settings(ns))
+    eps = scales.eps
     print(f"eps        = {fmt(eps)}")
     print(f"eps_th     = {fmt(scales.eps_th)}  (E_th = {fmt(scales.e_th)}, "
           f"P_th = {fmt(scales.p_th)} hbar*omega^3)")
@@ -222,14 +224,14 @@ def cmd_steady(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _variance_rows(params, scales, eps, ns, var, grid):
+def _variance_rows(params, scales, ns, var, grid):
     if ns.regime == "unitary":
         if var != "chi_t":
             raise ParameterDomainError("unitary sweeps use the variable chi_t")
         if not params.chi > 0:
             raise ParameterDomainError(
                 "unitary sweeps measure time as chi*t and need chi > 0")
-        values = unitary_variance(params.chi, eps, grid / params.chi, ns.sigma_theta)
+        values = unitary_variance(params.chi, scales.eps, grid / params.chi, ns.sigma_theta)
         return fmt_rows(grid, values, np.zeros(grid.shape), values, values, values * values,
                         flag=["ok"] * grid.size)
     if var != "eps_ratio":
@@ -244,10 +246,9 @@ def cmd_variance(ns: argparse.Namespace) -> int:
     for name in ("delta_theta", "sigma_theta"):  # refused in every regime, used or not
         if not math.isfinite(getattr(ns, name)):
             raise ParameterDomainError(f"{name} must be finite, got {getattr(ns, name)}")
-    params, eps = build_params(_settings(ns))
-    params, scales = replace_pump(params, derive_scales(params), eps)
+    params, scales = build_params(_settings(ns))
     var, grid = parse_sweep(ns.sweep)
-    rows = _variance_rows(params, scales, eps, ns, var, grid)
+    rows = _variance_rows(params, scales, ns, var, grid)
     header = _header(ns, params, {
         "regime": ns.regime, "delta_theta": fmt(ns.delta_theta),
         "sigma_theta": fmt(ns.sigma_theta), "sweep": ns.sweep})
@@ -259,8 +260,7 @@ def cmd_variance(ns: argparse.Namespace) -> int:
 
 def cmd_mc(ns: argparse.Namespace) -> int:
     values = _settings(ns)
-    params, eps = build_params(values)
-    params, scales = replace_pump(params, derive_scales(params), eps)
+    params, scales = build_params(values)
     config = SimConfig(**{f.name: values[f.name] for f in fields(SimConfig) if f.name in values})
     specs = [s.strip() for s in ns.moments.split(",") if s.strip()]
     estimates, hist = sample_ensemble(params, scales, config,
@@ -269,7 +269,7 @@ def cmd_mc(ns: argparse.Namespace) -> int:
     # worker count deliberately left out of the header: results are
     # bitwise identical for any worker count, and so must be the file
     setup = {f.name: getattr(config, f.name) for f in fields(config)}
-    header = _header(ns, params, {"eps": fmt(eps), **{
+    header = _header(ns, params, {"eps": fmt(scales.eps), **{
         key: fmt(value) if isinstance(value, float) else value for key, value in setup.items()}})
     columns = ["observable", "mean_re", "mean_im", "std_error",
                "n_effective", "discard_fraction"]
@@ -292,7 +292,7 @@ def cmd_mc(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _figure_curves(n: int, ns: argparse.Namespace):
+def _figure_curves(n: int):
     """Yield (filename, header-extra, columns, rows) per curve of figure ``n``."""
     if n in FIGURE_UNITARY_RATIOS:
         chi = 1.0
@@ -322,7 +322,7 @@ def cmd_figure(ns: argparse.Namespace) -> int:
         raise ParameterDomainError("figure number must be 1..5")
     outdir = _outdir(ns)
     written = []
-    for fname, extra, columns, rows in _figure_curves(n, ns):
+    for fname, extra, columns, rows in _figure_curves(n):
         header = [f"# nopolock {__version__}", f"# command = figure {n}"]
         header += [f"# {k} = {v}" for k, v in extra.items()]
         _write_csv(outdir / fname, header, columns, rows)
@@ -400,7 +400,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="positive-P ensemble moments (and phase histograms)")
     _add_table_flags(p, "mc")
     p.add_argument("--moments", default="n1,a1a2,b1a2,a1",
-                   help="comma list of aliases or exponent tuples")
+                   help="comma list of moment aliases (montecarlo.MOMENT_ALIASES)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--phases", action="store_true",
                    help="also write the phase histogram CSV")

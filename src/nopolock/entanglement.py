@@ -124,12 +124,11 @@ def _report(V, R, V_plus, V_minus, product, angles: QuadratureAngles,
                           strong_epr=product < 0.25, angles=angles, flag=flag)
 
 
-def variances_from_moments(moments: MomentSet, angles: QuadratureAngles,
-                           flag: str = FLAG_OK) -> VarianceReport:
+def variances_from_moments(moments: MomentSet, angles: QuadratureAngles) -> VarianceReport:
     """Exact quadrature variances of a symmetric two-mode Gaussian-moment set."""
     columns = _variances(moments.n, moments.m_aa, moments.m_a1sq, moments.m_cross,
                          angles.sigma_theta, angles.delta_theta)
-    return _report(*columns, angles, flag)
+    return _report(*columns, angles, FLAG_OK)
 
 
 def optimal_angle_sum(moments: MomentSet, params: SystemParams | None = None,
@@ -315,7 +314,9 @@ def unitary_variance(chi: float, eps: float, t: float | np.ndarray,
 
     Oscillatory for ``eps < chi`` (period ``pi/sqrt(chi^2 - eps^2)`` in
     ``t``), exponentially growing for ``eps > chi``; ``V(0) = 1``.  ``t``
-    may be an array of times; a scalar ``t`` gives a float.
+    may be an array of times; a scalar ``t`` gives a float.  For ``eps > chi``
+    ``V`` is summed from non-negative squares, so it keeps full relative
+    precision at its minimum ``chi / (eps + chi)`` however small ``chi / eps``.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
@@ -327,14 +328,18 @@ def unitary_variance(chi: float, eps: float, t: float | np.ndarray,
     # photon number n and the (real) pair moment <a1 a2> of the evolved vacuum
     if abs(chi - eps) <= _BOUNDARY_RTOL * max(chi, eps, 1e-300):
         n, m_aa = eps**2 * t**2, eps * t
+        V = 1 + 2 * n - 2 * m_aa * math.cos(sigma_theta)
     elif eps < chi:
         mu = math.sqrt(chi**2 - eps**2)
         n, m_aa = eps**2 * np.sin(mu * t)**2 / mu**2, eps * np.sin(2 * mu * t) / (2 * mu)
+        V = 1 + 2 * n - 2 * m_aa * math.cos(sigma_theta)
     else:
+        # 1 + 2n - 2 m_aa regrouped (chi^2 = (eps - eta)(eps + eta), e^-x = cosh x -
+        # sinh x) into squares, which do not cancel near the minimum
         eta = math.sqrt(eps**2 - chi**2)
-        n = eps**2 * np.sinh(eta * t)**2 / eta**2
         m_aa = eps * np.sinh(2 * eta * t) / (2 * eta)
-    V = 1 + 2 * n - 2 * m_aa * math.cos(sigma_theta)
+        V = ((np.exp(-eta * t) - chi**2 * np.sinh(eta * t) / (eta * (eps + eta)))**2
+             + (chi * np.sinh(eta * t) / eta)**2 + 2 * m_aa * (1 - math.cos(sigma_theta)))
     return float(V) if V.ndim == 0 else V
 
 

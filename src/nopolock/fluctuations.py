@@ -184,13 +184,17 @@ def temporal_corr_below(params: SystemParams, scales: DerivedScales,
     Equals ``expm(-F*tau) C`` for ``tau >= 0`` and ``C expm(-F^T*|tau|)``
     for ``tau < 0``; at ``tau = 0`` it reduces to the stationary covariance.
     """
+    mats = below_matrices(params, scales, eps)
+    return _lagged(mats.F, 0.5 * np.linalg.solve(mats.F, mats.D), tau)
+
+
+def _lagged(F: np.ndarray, C: np.ndarray, tau: float) -> np.ndarray:
+    """Lag-``tau`` covariance of ``d/dt dx = -F dx + R`` with stationary covariance ``C``."""
     from scipy.linalg import expm  # the only scipy use; kept off the import path
 
-    mats = below_matrices(params, scales, eps)
-    C4 = 0.5 * np.linalg.solve(mats.F, mats.D)
     if tau >= 0:
-        return expm(-mats.F * tau) @ C4
-    return C4 @ expm(-mats.F.T * abs(tau))
+        return expm(-F * tau) @ C
+    return C @ expm(-F.T * abs(tau))
 
 
 def mean_photon_below(params: SystemParams, scales: DerivedScales,
@@ -222,7 +226,6 @@ class AboveThresholdMatrices:
     C_plus: np.ndarray
     C_minus: np.ndarray
     n0: float
-    sin_phase_sum: float
     near_threshold: bool
 
 
@@ -269,8 +272,7 @@ def above_matrices(params: SystemParams, scales: DerivedScales,
 
     return AboveThresholdMatrices(
         F_plus=F_plus, F_minus=F_minus, D_plus=D_plus, D_minus=D_minus,
-        C_plus=C_plus, C_minus=C_minus, n0=n0, sin_phase_sum=sin_sum,
-        near_threshold=near_threshold(scales, eps))
+        C_plus=C_plus, C_minus=C_minus, n0=n0, near_threshold=near_threshold(scales, eps))
 
 
 def temporal_corr_above(params: SystemParams, scales: DerivedScales,
@@ -279,13 +281,5 @@ def temporal_corr_above(params: SystemParams, scales: DerivedScales,
 
     ``tau = 0`` reproduces ``(C_plus, C_minus)`` exactly.
     """
-    from scipy.linalg import expm
-
     mats = above_matrices(params, scales, eps)
-    out = []
-    for F, C in ((mats.F_plus, mats.C_plus), (mats.F_minus, mats.C_minus)):
-        if tau >= 0:
-            out.append(expm(-F * tau) @ C)
-        else:
-            out.append(C @ expm(-F.T * abs(tau)))
-    return out[0], out[1]
+    return _lagged(mats.F_plus, mats.C_plus, tau), _lagged(mats.F_minus, mats.C_minus, tau)

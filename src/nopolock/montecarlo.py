@@ -127,16 +127,21 @@ class EnsembleEstimate:
 
 
 def parse_moment_spec(spec) -> tuple[int, int, int, int]:
-    """Normalize a moment spec: alias string or 4-tuple of exponents."""
+    """Normalize a moment spec: alias string or 4-tuple of non-negative integer exponents."""
     if isinstance(spec, str):
         try:
             return MOMENT_ALIASES[spec]
         except KeyError:
             raise ParameterDomainError(
                 f"unknown moment alias {spec!r}; known: {sorted(MOMENT_ALIASES)}") from None
-    tup = tuple(int(p) for p in spec)
-    if len(tup) != 4 or any(p < 0 for p in tup):
-        raise ParameterDomainError(f"moment spec must be 4 non-negative exponents, got {spec!r}")
+    try:
+        raw = tuple(spec)
+        tup = tuple(int(p) for p in raw)
+    except (TypeError, ValueError, OverflowError):  # not iterable, nan, inf
+        raw = tup = ()
+    if len(tup) != 4 or any(p < 0 for p in tup) or raw != tup:  # refuses 1.5 and "1"
+        raise ParameterDomainError(
+            f"moment spec must be 4 non-negative integer exponents, got {spec!r}")
     return tup  # type: ignore[return-value]
 
 
@@ -177,8 +182,8 @@ def noise_increment(state: np.ndarray, params: SystemParams, scales: DerivedScal
 
 
 def _integrate(params: SystemParams, scales: DerivedScales, config: SimConfig, state: np.ndarray,
-               streams, visit_at, visit, noiseless: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Advance ``(4, W)`` ``state`` (overwritten) to ``t_max``; returns ``(state, alive)``.
+               streams, visit_at, visit) -> np.ndarray:
+    """Advance ``(4, W)`` ``state`` (overwritten) to ``t_max``; returns the ``alive`` mask.
 
     ``streams`` pairs Philox generators with the lane slices they feed, and
     ``visit(state, alive)`` runs after each step number in ``visit_at``.
@@ -196,7 +201,7 @@ def _integrate(params: SystemParams, scales: DerivedScales, config: SimConfig, s
     screen = 0.5 * config.divergence_bound  # parts within it keep every modulus in bound
     for k0 in range(0, config.n_steps, steps):
         block = min(steps, config.n_steps - k0)
-        for rng, lanes in ([] if noiseless else streams):  # same numbers as per-step draws
+        for rng, lanes in streams:  # same numbers as per-step draws
             xi[:block, :, lanes] = rng.standard_normal((block, 4, lanes.stop - lanes.start))
         for k in range(k0 + 1, k0 + block + 1):
             np.multiply(x[:, 0], x[:, 1], out=c)
@@ -207,12 +212,11 @@ def _integrate(params: SystemParams, scales: DerivedScales, config: SimConfig, s
             new += term
             np.multiply(c[:, None], x[::-1, ::-1], out=term)  # c b2, c b1, cb a2, cb a1
             new += term
-            if not noiseless:
-                np.multiply(c, 0.5, out=s)
-                np.sqrt(s, out=s)
-                z.real, z.imag = xi[k - k0 - 1, 0::2], xi[k - k0 - 1, 1::2]
-                new[:, 0] += np.multiply(s, z, out=p)             # s (xi0 + i xi1)
-                new[:, 1] += np.multiply(s, np.conjugate(z, out=z), out=p)
+            np.multiply(c, 0.5, out=s)
+            np.sqrt(s, out=s)
+            z.real, z.imag = xi[k - k0 - 1, 0::2], xi[k - k0 - 1, 1::2]
+            new[:, 0] += np.multiply(s, z, out=p)             # s (xi0 + i xi1)
+            new[:, 1] += np.multiply(s, np.conjugate(z, out=z), out=p)
             if frozen is not None:
                 np.copyto(new, x, where=frozen)
             flat = new.reshape(-1).view(float)
@@ -226,7 +230,7 @@ def _integrate(params: SystemParams, scales: DerivedScales, config: SimConfig, s
             x, new = new, x
             if k in visit_at:
                 visit(x.reshape(4, width), alive)
-    return x.reshape(4, width), alive
+    return alive
 
 
 _PHASE_EDGES = np.linspace(-math.pi, math.pi, 182)
@@ -234,15 +238,18 @@ _FOLD_EDGES = np.append(np.arange(0.0, math.pi / 2, 0.01), math.pi / 2)
 _HIST_EDGES = (_PHASE_EDGES, _PHASE_EDGES, _PHASE_EDGES, _FOLD_EDGES)
 
 
-def _accumulate(state, alive, specs, sums, counts, hists) -> None:
-    """One sample time: per-lane moment products and live counts, phase histograms."""
-    counts += alive
+def _accumulate(state, alive, specs, sums, hists) -> None:
+    """One sample time: per-lane moment products, and phase histograms of live lanes.
+
+    A lane that dies never lives again and its moment sums are dropped whole, so
+    they need no mask; its histogram counts stop at its divergence.
+    """
     for total, spec in zip(sums, specs):
         # elementwise products: np.prod over stacked factors runs numpy's reduction
         # kernel on a one-lane job, which can round differently (worker-count bits)
         factors = [state[row] ** p for row, p in enumerate(spec) if p] or [np.ones(alive.shape)]
         prod = reduce(np.multiply, factors)
-        total += np.where(alive, prod, 0)
+        total += prod
     if hists:
         ph1, ph2 = np.angle(state[0, alive]), np.angle(state[1, alive])
         diff = np.angle(np.exp(1j * (ph2 - ph1)))
@@ -255,19 +262,17 @@ def _accumulate(state, alive, specs, sums, counts, hists) -> None:
 
 def _group_worker(args):
     """Integrate chunks ``[first, stop)`` side by side as one wide array."""
-    params, scales, config, (first, stop), specs, want_phase, noiseless, sample_at = args
+    params, scales, config, (first, stop), specs, want_phase, sample_at = args
     bounds = [min(j * config.chunk_size, config.n_traj) - first * config.chunk_size
               for j in range(first, stop + 1)]
     streams = [(_chunk_rng(config.seed, j), slice(lo, hi))
                for j, lo, hi in zip(range(first, stop), bounds, bounds[1:])]
     width = bounds[-1]
     sums = np.zeros((len(specs), width), dtype=complex)
-    counts = np.zeros(width, dtype=np.int64)
     hists = [np.zeros(len(e) - 1, dtype=np.int64) for e in _HIST_EDGES] if want_phase else []
-    _, alive = _integrate(params, scales, config, np.zeros((4, width), dtype=complex), streams,
-                          sample_at, lambda s, a: _accumulate(s, a, specs, sums, counts, hists),
-                          noiseless)
-    return alive, sums, counts, hists
+    alive = _integrate(params, scales, config, np.zeros((4, width), dtype=complex), streams,
+                       sample_at, lambda s, a: _accumulate(s, a, specs, sums, hists))
+    return alive, sums, hists
 
 
 def _pool_context():
@@ -313,8 +318,7 @@ class PhaseHistogram:
 
 
 def sample_ensemble(params: SystemParams, scales: DerivedScales, config: SimConfig,
-                    moment_specs, n_workers: int = 1, phases: bool = False,
-                    noiseless: bool = False
+                    moment_specs, n_workers: int = 1, phases: bool = False
                     ) -> tuple[list[EnsembleEstimate], PhaseHistogram | None]:
     """Moment estimates and, with ``phases``, phase histograms from one pass.
 
@@ -334,8 +338,8 @@ def sample_ensemble(params: SystemParams, scales: DerivedScales, config: SimConf
     specs = [parse_moment_spec(s) for s in moment_specs]
     n_chunks = -(-config.n_traj // config.chunk_size)
     n_jobs = min(n_chunks, max(n_workers, -(-n_chunks // MAX_CHUNKS_PER_JOB)))
-    jobs = [(params, scales, config, (int(g[0]), int(g[-1]) + 1), specs, phases, noiseless,
-             sample_at) for g in np.array_split(np.arange(n_chunks), n_jobs)]
+    jobs = [(params, scales, config, (int(g[0]), int(g[-1]) + 1), specs, phases, sample_at)
+            for g in np.array_split(np.arange(n_chunks), n_jobs)]
     if n_workers > 1 and n_jobs > 1:
         with _pool_context().Pool(min(n_workers, n_jobs)) as pool:
             results = pool.map(_group_worker, jobs)
@@ -350,7 +354,7 @@ def sample_ensemble(params: SystemParams, scales: DerivedScales, config: SimConf
             f"discard fraction {discard:.4f} exceeds {MAX_DISCARD_FRACTION:.2%}; "
             "estimate aborted (reduce dt or pump, or raise divergence_bound)")
     sums = np.concatenate([r[1] for r in results], axis=1)
-    per_traj = sums[:, alive] / np.concatenate([r[2] for r in results])[alive]
+    per_traj = sums[:, alive] / len(sample_at)  # every kept lane lived at every sample
     n_eff = int(alive.sum())
     estimates = [EnsembleEstimate(
         label=moment_label(spec), mean=complex(m.mean()),
@@ -359,7 +363,7 @@ def sample_ensemble(params: SystemParams, scales: DerivedScales, config: SimConf
         for spec, m in zip(specs, per_traj)]
     if not phases:
         return estimates, None
-    diff, tot, mode1, fold = (sum(h) for h in zip(*(r[3] for r in results)))
+    diff, tot, mode1, fold = (sum(h) for h in zip(*(r[2] for r in results)))
     note = ("below threshold: phases undefined at zero amplitude"
             if scales.eps <= scales.eps_th else "")
     return estimates, PhaseHistogram(
@@ -369,11 +373,9 @@ def sample_ensemble(params: SystemParams, scales: DerivedScales, config: SimConf
 
 
 def ensemble_moments(params: SystemParams, scales: DerivedScales, config: SimConfig,
-                     moment_specs, n_workers: int = 1,
-                     noiseless: bool = False) -> list[EnsembleEstimate]:
+                     moment_specs, n_workers: int = 1) -> list[EnsembleEstimate]:
     """Steady-state moment estimates: the moment half of :func:`sample_ensemble`."""
-    return sample_ensemble(params, scales, config, moment_specs, n_workers,
-                           noiseless=noiseless)[0]
+    return sample_ensemble(params, scales, config, moment_specs, n_workers)[0]
 
 
 def phase_histogram(params: SystemParams, scales: DerivedScales, config: SimConfig,
@@ -382,22 +384,18 @@ def phase_histogram(params: SystemParams, scales: DerivedScales, config: SimConf
     return sample_ensemble(params, scales, config, [], n_workers, phases=True)[1]
 
 
-def integrate_trajectory(params: SystemParams, scales: DerivedScales,
-                         config: SimConfig, rng_stream: np.random.Generator | None = None,
-                         x0: np.ndarray | None = None,
-                         noiseless: bool = False) -> TrajectoryRecord:
+def integrate_trajectory(params: SystemParams, scales: DerivedScales, config: SimConfig,
+                         x0: np.ndarray | None = None) -> TrajectoryRecord:
     """Integrate a single trajectory, recording every ``sample_every`` steps.
 
     Divergence freezes the state and marks the record; it is data, not an
-    error.  ``rng_stream`` defaults to the stream of trajectory index 0.
+    error.  The noise is the stream of trajectory index 0.
     """
-    rng = rng_stream if rng_stream is not None else _chunk_rng(config.seed, 0)
     state = np.zeros((4, 1), complex) if x0 is None else np.array(x0, complex).reshape(4, 1)
     record_at = [k for k in range(1, config.n_steps + 1)
                  if k % config.sample_every == 0 or k == config.n_steps]
     states = [state[:, 0].copy()]
-    _, alive = _integrate(params, scales, config, state, [(rng, slice(0, 1))],
-                          set(record_at), lambda s, _: states.append(s[:, 0].copy()),
-                          noiseless)
+    alive = _integrate(params, scales, config, state, [(_chunk_rng(config.seed, 0), slice(0, 1))],
+                       set(record_at), lambda s, _: states.append(s[:, 0].copy()))
     return TrajectoryRecord(times=np.array([0, *record_at]) * config.dt,
                             states=np.array(states), diverged=bool(~alive[0]))

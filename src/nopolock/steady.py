@@ -109,36 +109,35 @@ def _zero_branch(branch: str, ev: np.ndarray, stable: bool,
 
 
 def steady_state(params: SystemParams, scales: DerivedScales, eps: float,
-                 branch: str = "auto") -> SteadyStateBranch:
+                 branch: str = "+") -> SteadyStateBranch:
     """Solve the noise-free steady state at pump ``eps`` on one family.
 
-    ``branch`` is ``"+"``, ``"-"`` or ``"auto"`` (the stable "+" family).
-    Below the family's critical pump the zero solution is returned with
+    ``branch`` is ``"+"`` (the stable family) or ``"-"``.  Below the
+    family's critical pump the zero solution is returned with
     ``below_critical`` set.  The canonical phase representative is returned;
     its pi-shifted twin is :meth:`SteadyStateBranch.twin`.
     """
-    if branch not in ("auto", "+", "-"):
+    if branch not in ("+", "-"):
         raise ParameterDomainError(f"unknown branch {branch!r}")
     if eps < 0:
         raise ParameterDomainError("pump rate eps must be non-negative")
     if scales.lam <= 0:
         raise ParameterDomainError("effective nonlinearity lam must be positive (k > 0)")
-    label = "+" if branch == "auto" else branch
 
     if eps == 0.0 or not locking_feasible(params):
         if eps > scales.eps_th and not locking_feasible(params):
             # fall through to the named-inequality error
             critical_points(params, scales)
         ev, stable = stability_eigenvalues(params, scales, eps, np.zeros(4, complex))
-        return _zero_branch(label, ev, stable, below_critical=eps > 0)
+        return _zero_branch(branch, ev, stable, below_critical=eps > 0)
 
     phase_sum, phase_diff, lit, n10, n20, ev, stable = _locked_family(
-        params, scales, np.array([eps], dtype=float), label)
+        params, scales, np.array([eps], dtype=float), branch)
     if not lit[0]:
-        return _zero_branch(label, ev[0], bool(stable[0]), below_critical=True)
+        return _zero_branch(branch, ev[0], bool(stable[0]), below_critical=True)
     phase_sum = float(phase_sum[0])
     return SteadyStateBranch(
-        branch=label, n10=float(n10[0]), n20=float(n20[0]),
+        branch=branch, n10=float(n10[0]), n20=float(n20[0]),
         phi10=wrap_angle((phase_sum - phase_diff) / 2),
         phi20=wrap_angle((phase_sum + phase_diff) / 2),
         phase_sum=phase_sum, phase_diff=wrap_angle(phase_diff),
@@ -146,7 +145,7 @@ def steady_state(params: SystemParams, scales: DerivedScales, eps: float,
 
 
 def _locked_family(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
-                   label: str = "+") -> tuple:
+                   label: str) -> tuple:
     """Closed-form steady states of family ``label`` at every pump of ``eps``.
 
     ``eps`` is a 1-D array.  Returns ``(phase_sum, phase_diff, lit, n10,

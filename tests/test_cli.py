@@ -478,3 +478,20 @@ def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
         for repeat in ("a", "b"):
             assert run(main, argv, tmp_path / f"main{i}{repeat}") == expected, argv
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv", RUNS[1:], ids=lambda argv: argv[0])
+def test_pump_resolved_once_per_command(tmp_path, capsys, monkeypatch, argv):
+    # bench/tracing.py times these two through the cli globals
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("derive_scales", "replace_pump"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    assert sorted(calls) == ["derive_scales", "replace_pump"]

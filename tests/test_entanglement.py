@@ -512,6 +512,11 @@ class TestUnitaryMinimum:
             assert unitary_variance(chi, 0.4, t_min + k * period) \
                 == pytest.approx(v_min, abs=1e-10)
 
+    @pytest.mark.parametrize("chi", [1e-9, 1e-6, 1e-3])
+    def test_minimum_keeps_precision_at_weak_mixing(self, chi):
+        # the expanded 1 + 2n - 2<a1 a2> cancels to V = 0 at chi/eps = 1e-9
+        assert unitary_minimum(chi, 1.0)[1] == pytest.approx(chi / (1 + chi), rel=1e-12, abs=0)
+
     def test_limit_of_equal_rates(self):
         _, v_min = unitary_minimum(1.0, 0.999999)
         assert v_min == pytest.approx(0.5, abs=1e-6)

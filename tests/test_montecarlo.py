@@ -78,12 +78,14 @@ class TestNoiseIncrement:
 
 
 class TestIntegrateTrajectory:
-    def test_noiseless_decay(self):
+    def test_zero_pump_decay(self):
+        # eps = chi = 0 and alpha2 = beta2 = 0 make c = eps - lam*a1*a2 exactly
+        # zero, so the full stochastic step adds exactly zero noise
         params, scales = make_system(delta=2.0, chi=0.0, eps=0.0)
         config = SimConfig(dt=1e-3, t_max=1.0, n_traj=2, burn_in=0.0,
                            sample_every=100)
         x0 = np.array([0.3, 0.0, 0.3, 0.0], complex)
-        rec = integrate_trajectory(params, scales, config, x0=x0, noiseless=True)
+        rec = integrate_trajectory(params, scales, config, x0=x0)
         assert not rec.diverged
         for t, state in zip(rec.times, rec.states):
             assert abs(state[0]) == pytest.approx(0.3 * math.exp(-t), rel=2e-3)
@@ -213,6 +215,36 @@ class TestEngine:
             for field in dataclasses.fields(PhaseHistogram):
                 np.testing.assert_array_equal(getattr(other, field.name),
                                               getattr(runs[0], field.name))
+
+    def test_moments_with_frozen_lanes(self):
+        # a bound of 3 at the mc-below point freezes 3 of 600 lanes mid-run (0.5%)
+        params, scales, _ = at_ratio(*make_system(delta=3.0, chi=0.5, lam=0.05), 0.6)
+        config = SimConfig(dt=2e-3, t_max=2.0, n_traj=600, burn_in=0.5, seed=4,
+                           chunk_size=100, divergence_bound=3.0)
+        specs = ["n1", "a1a2", (2, 0, 1, 1)]
+        runs = [ensemble_moments(params, scales, config, specs, n_workers=w) for w in (1, 2, 3)]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert 0 < runs[0][0].discard_fraction <= montecarlo.MAX_DISCARD_FRACTION
+
+        # by hand: per-lane time averages over the sample times after burn-in
+        # (steps 260, 270, ..., 1000), then their mean over never-diverged lanes
+        sample_at = set(range(260, 1001, 10))
+        sums = np.zeros((len(specs), config.n_traj), dtype=complex)
+
+        def visit(x, alive):
+            for total, spec in zip(sums, map(parse_moment_spec, specs)):
+                total += np.prod([x[row] ** p for row, p in enumerate(spec)], axis=0)
+
+        streams = [(_chunk_rng(config.seed, j), slice(100 * j, 100 * (j + 1))) for j in range(6)]
+        alive = _integrate(params, scales, config, np.zeros((4, config.n_traj), dtype=complex),
+                           streams, sample_at, visit)
+        assert alive.sum() == config.n_traj - 3
+        for est, m in zip(runs[0], sums[:, alive] / len(sample_at)):
+            assert est.n_effective == alive.sum()
+            assert est.mean == pytest.approx(m.mean(), rel=1e-12, abs=1e-15)
+            assert est.std_error == pytest.approx(
+                math.sqrt(m.real.var(ddof=1) + m.imag.var(ddof=1)) / math.sqrt(alive.sum()),
+                rel=1e-12)
 
     def test_one_pass_equals_separate_calls(self):
         params, scales, _ = at_ratio(*make_system(delta=3.0, chi=0.5, lam=0.01), 1.5)
@@ -518,9 +550,16 @@ class TestSpecs:
     def test_aliases_and_labels(self):
         assert parse_moment_spec("n1") == (1, 0, 1, 0)
         assert parse_moment_spec((0, 1, 1, 0)) == (0, 1, 1, 0)
+        assert parse_moment_spec((2.0, 0, 1, np.int64(1))) == (2, 0, 1, 1)  # integer values
         assert moment_label((1, 0, 1, 0)) == "a1*b1"
         assert moment_label((2, 0, 0, 1)) == "a1^2*b2"
         with pytest.raises(Exception):
             parse_moment_spec("bogus")
         with pytest.raises(ParameterDomainError):
             parse_moment_spec("b1a1")  # duplicate of n1, removed
+
+    @pytest.mark.parametrize("spec", [(1.5, 0, 0.9, 0), (1, 0, 0, 0.5), (math.nan, 0, 0, 0),
+                                      (math.inf, 0, 0, 0), ("1", 0, 0, 0), np.array([0.5] * 4)])
+    def test_non_integer_exponents_refused(self, spec):
+        with pytest.raises(ParameterDomainError, match="integer"):
+            parse_moment_spec(spec)

@@ -107,6 +107,12 @@ class TestSteadyState:
         st = steady_state(params, scales, eps, branch="+")
         assert st.is_zero and st.below_critical and st.stable
 
+    @pytest.mark.parametrize("branch", ["auto", "", "+-"])
+    def test_only_the_two_families_are_named(self, standard, branch):
+        params, scales, eps = at_ratio(*standard, 1.5)
+        with pytest.raises(ParameterDomainError, match="unknown branch"):
+            steady_state(params, scales, eps, branch=branch)
+
     def test_above_threshold_without_locking_raises(self):
         params, scales = make_system(chi=0.0)
         with pytest.raises(ParameterDomainError):
