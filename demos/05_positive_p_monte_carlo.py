@@ -39,7 +39,7 @@ p, s = replace_pump(bright, bscales, eps)
 config = SimConfig(dt=1e-3, t_max=18.0, n_traj=256, burn_in=10.0, seed=2)
 hist = phase_histogram(p, s, config, n_workers=2)
 print(f"  phase-difference mass within 0.3 rad of 0 (mod pi): "
-      f"{hist.locked_fraction(0.3):.1%}")
+      f"{hist.locked_fraction():.1%}")
 peak = hist.counts_diff.argmax()
 lo, hi = hist.edges[peak], hist.edges[peak + 1]
 print(f"  histogram peak bin: [{lo:+.3f}, {hi:+.3f}) rad "

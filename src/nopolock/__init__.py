@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .dynamics import adiabatic_pump, drift_field
 from .entanglement import (MomentSet, VarianceReport, VarianceSweep, moments_above,
                            moments_below, optimal_angle_sum, unitary_minimum,
-                           unitary_variance, variance_above, variance_below,
-                           variance_steady, variance_sweep, variances_from_moments)
+                           unitary_variance, variance_steady, variance_sweep,
+                           variances_from_moments)
 from .errors import (EstimationError, NotSteadyStateError, ParameterDomainError,
                      RegimeError, SingularParameterError)
 from .fluctuations import (AboveThresholdMatrices, BelowThresholdMatrices,
@@ -30,8 +30,8 @@ __all__ = [
     "adiabatic_pump", "drift_field",
     # entanglement
     "MomentSet", "VarianceReport", "VarianceSweep", "moments_above", "moments_below",
-    "optimal_angle_sum", "unitary_minimum", "unitary_variance", "variance_above",
-    "variance_below", "variance_steady", "variance_sweep", "variances_from_moments",
+    "optimal_angle_sum", "unitary_minimum", "unitary_variance", "variance_steady",
+    "variance_sweep", "variances_from_moments",
     # errors
     "EstimationError", "NotSteadyStateError", "ParameterDomainError", "RegimeError",
     "SingularParameterError",

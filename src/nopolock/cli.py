@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .entanglement import unitary_variance, variance_sweep
 from .errors import (EstimationError, ParameterDomainError, RegimeError)
-from .montecarlo import SimConfig, parse_moment_spec, sample_ensemble
+from .montecarlo import LOCKED_HALFWIDTH, SimConfig, sample_ensemble
 from .params import DerivedScales, SystemParams, derive_scales, locking_feasible
 from .steady import critical_points, output_rates, replace_pump, steady_state
 
@@ -196,7 +196,8 @@ def cmd_steady(ns: argparse.Namespace) -> int:
     print(f"eps        = {fmt(eps)}")
     print(f"eps_th     = {fmt(scales.eps_th)}  (E_th = {fmt(scales.e_th)}, "
           f"P_th = {fmt(scales.p_th)} hbar*omega^3)")
-    if locking_feasible(params):
+    feasible = locking_feasible(params)
+    if feasible:
         crit = critical_points(params, scales)
         print(f"eps_cr+    = {fmt(crit.eps_cr_plus)}")
         print(f"eps_cr-    = {fmt(crit.eps_cr_minus)}")
@@ -204,8 +205,7 @@ def cmd_steady(ns: argparse.Namespace) -> int:
         print("locking    : infeasible (4 chi^2 d1 d2 <= (g1 d2 - g2 d1)^2)")
     if eps == scales.eps_th:
         print("note       : at threshold")
-    branches = ("+", "-") if locking_feasible(params) else ()
-    for label in branches:
+    for label in ("+", "-") if feasible else ():
         state = steady_state(params, scales, eps, branch=label)
         if state.below_critical:
             print(f"branch {label}   : below critical point (zero solution)")
@@ -263,8 +263,7 @@ def cmd_mc(ns: argparse.Namespace) -> int:
     params, scales = build_params(values)
     config = SimConfig(**{f.name: values[f.name] for f in fields(SimConfig) if f.name in values})
     specs = [s.strip() for s in ns.moments.split(",") if s.strip()]
-    estimates, hist = sample_ensemble(params, scales, config,
-                                      [parse_moment_spec(s) for s in specs],
+    estimates, hist = sample_ensemble(params, scales, config, specs,
                                       n_workers=ns.workers, phases=ns.phases)
     # worker count deliberately left out of the header: results are
     # bitwise identical for any worker count, and so must be the file
@@ -282,7 +281,7 @@ def cmd_mc(ns: argparse.Namespace) -> int:
         rows = [f"{fmt(lo)},{fmt(hi)},{cd},{cs}"
                 for lo, hi, cd, cs in zip(hist.edges[:-1], hist.edges[1:],
                                           hist.counts_diff, hist.counts_sum)]
-        extra = {"locked_fraction_0.3": fmt(hist.locked_fraction(0.3))}
+        extra = {f"locked_fraction_{LOCKED_HALFWIDTH}": fmt(hist.locked_fraction())}
         if hist.note:
             extra["note"] = hist.note
         stem = (ns.output or "mc.csv").rsplit(".", 1)[0]

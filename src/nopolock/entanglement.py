@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, RegimeError, SingularParameterError
-from .fluctuations import (above_matrices, equal_time_corr_below,
+from .fluctuations import (_require_symmetric, above_matrices, equal_time_corr_below,
                            equal_time_corr_below_stack, near_threshold)
 from .params import DerivedScales, QuadratureAngles, SystemParams, wrap_angle
 from .steady import _locked_family, steady_state
@@ -248,9 +248,7 @@ def _above_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
     divergences of individual correlation entries cancel in ``V`` and
     ``V_pm``.
     """
-    if not params.is_symmetric:
-        raise ParameterDomainError("variance_above requires symmetric parameters")
-    gamma, delta, chi = params.gamma1, params.delta1, params.chi
+    gamma, delta, chi = _require_symmetric(params)
     if delta == 0:
         raise SingularParameterError(
             "above-threshold variances divide by |delta|; delta = 0 is singular")
@@ -274,26 +272,12 @@ def _above_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
     return V, R, V_plus, V_minus, V_plus * V_minus, sigma
 
 
-def variance_below(params: SystemParams, scales: DerivedScales, eps: float,
-                   delta_theta: float = 0.0) -> VarianceReport:
-    """Minimized-angle variances in the below-threshold regime.
-
-    The usable domain stops a relative :data:`_THRESHOLD_HANDOFF` short of
-    threshold; closer in, use :func:`variance_above` for the limit values.
-    At ``eps = 0`` the sum angle is free: 0 is used, flagged ``degenerate``.
-    """
-    return variance_steady(params, scales, eps, delta_theta, "below")
-
-
-def variance_above(params: SystemParams, scales: DerivedScales, eps: float,
-                   delta_theta: float = 0.0) -> VarianceReport:
-    """Variances in the locked above-threshold regime (closed forms)."""
-    return variance_steady(params, scales, eps, delta_theta, "above")
-
-
 def variance_steady(params: SystemParams, scales: DerivedScales, eps: float,
                     delta_theta: float = 0.0, regime: str = "auto") -> VarianceReport:
-    """:func:`variance_sweep` at the single pump ``eps``, as a :class:`VarianceReport`."""
+    """:func:`variance_sweep` at the single pump ``eps``, as a :class:`VarianceReport`.
+
+    At ``eps = 0`` the sum angle is free: 0 is used, flagged ``degenerate``.
+    """
     sweep = variance_sweep(params, scales, eps, delta_theta, regime)
     angles = QuadratureAngles.from_sums(float(sweep.sigma_theta[0]), delta_theta,
                                         params, degenerate=eps == 0)
@@ -316,7 +300,8 @@ def unitary_variance(chi: float, eps: float, t: float | np.ndarray,
     ``t``), exponentially growing for ``eps > chi``; ``V(0) = 1``.  ``t``
     may be an array of times; a scalar ``t`` gives a float.  For ``eps > chi``
     ``V`` is summed from non-negative squares, so it keeps full relative
-    precision at its minimum ``chi / (eps + chi)`` however small ``chi / eps``.
+    precision at its minimum ``chi / (eps + chi)`` however small ``chi / eps``,
+    and is ``+inf`` once it exceeds the float range.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
@@ -337,9 +322,12 @@ def unitary_variance(chi: float, eps: float, t: float | np.ndarray,
         # 1 + 2n - 2 m_aa regrouped (chi^2 = (eps - eta)(eps + eta), e^-x = cosh x -
         # sinh x) into squares, which do not cancel near the minimum
         eta = math.sqrt(eps**2 - chi**2)
-        m_aa = eps * np.sinh(2 * eta * t) / (2 * eta)
-        V = ((np.exp(-eta * t) - chi**2 * np.sinh(eta * t) / (eta * (eps + eta)))**2
-             + (chi * np.sinh(eta * t) / eta)**2 + 2 * m_aa * (1 - math.cos(sigma_theta)))
+        with np.errstate(over="ignore"):  # sinh past the float range: V = +inf
+            V = ((np.exp(-eta * t) - chi**2 * np.sinh(eta * t) / (eta * (eps + eta)))**2
+                 + (chi * np.sinh(eta * t) / eta)**2)
+            if math.cos(sigma_theta) != 1:  # skipped at 1, where it would be inf * 0
+                m_aa = eps * np.sinh(2 * eta * t) / (2 * eta)
+                V = V + 2 * m_aa * (1 - math.cos(sigma_theta))
     return float(V) if V.ndim == 0 else V
 
 

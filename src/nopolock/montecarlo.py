@@ -234,15 +234,18 @@ def _integrate(params: SystemParams, scales: DerivedScales, config: SimConfig, s
 
 
 _PHASE_EDGES = np.linspace(-math.pi, math.pi, 182)
-_FOLD_EDGES = np.append(np.arange(0.0, math.pi / 2, 0.01), math.pi / 2)
-_HIST_EDGES = (_PHASE_EDGES, _PHASE_EDGES, _PHASE_EDGES, _FOLD_EDGES)
+
+#: a sample is phase locked when its phase difference lies this close to 0 (mod pi)
+LOCKED_HALFWIDTH = 0.3
 
 
 def _accumulate(state, alive, specs, sums, hists) -> None:
-    """One sample time: per-lane moment products, and phase histograms of live lanes.
+    """One sample time: per-lane moment products, and phase counts of live lanes.
 
-    A lane that dies never lives again and its moment sums are dropped whole, so
-    they need no mask; its histogram counts stop at its divergence.
+    ``hists`` holds the difference, sum and mode-1 phase histograms and a
+    one-entry count of locked samples.  A lane that dies never lives again and
+    its moment sums are dropped whole, so they need no mask; its phase counts
+    stop at its divergence.
     """
     for total, spec in zip(sums, specs):
         # elementwise products: np.prod over stacked factors runs numpy's reduction
@@ -253,11 +256,10 @@ def _accumulate(state, alive, specs, sums, hists) -> None:
     if hists:
         ph1, ph2 = np.angle(state[0, alive]), np.angle(state[1, alive])
         diff = np.angle(np.exp(1j * (ph2 - ph1)))
-        dmod = np.mod(diff, math.pi)
-        values = (diff, np.angle(np.exp(1j * (ph2 + ph1))), ph1,
-                  np.minimum(dmod, math.pi - dmod))
-        for hist, value, edges in zip(hists, values, _HIST_EDGES):
-            hist += np.histogram(value, bins=edges)[0]
+        for hist, value in zip(hists, (diff, np.angle(np.exp(1j * (ph2 + ph1))), ph1)):
+            hist += np.histogram(value, bins=_PHASE_EDGES)[0]
+        dmod = np.mod(diff, math.pi)  # the distance from 0 (mod pi) is min(dmod, pi - dmod)
+        hists[3] += np.count_nonzero(np.minimum(dmod, math.pi - dmod) <= LOCKED_HALFWIDTH)
 
 
 def _group_worker(args):
@@ -269,7 +271,8 @@ def _group_worker(args):
                for j, lo, hi in zip(range(first, stop), bounds, bounds[1:])]
     width = bounds[-1]
     sums = np.zeros((len(specs), width), dtype=complex)
-    hists = [np.zeros(len(e) - 1, dtype=np.int64) for e in _HIST_EDGES] if want_phase else []
+    bins = _PHASE_EDGES.size - 1
+    hists = [np.zeros(n, dtype=np.int64) for n in (bins, bins, bins, 1)] if want_phase else []
     alive = _integrate(params, scales, config, np.zeros((4, width), dtype=complex), streams,
                        sample_at, lambda s, a: _accumulate(s, a, specs, sums, hists))
     return alive, sums, hists
@@ -291,9 +294,9 @@ class PhaseHistogram:
     ``counts_diff``/``counts_sum`` bin ``arg(alpha2) -+ arg(alpha1)`` over
     ``(-pi, pi]`` and ``counts_mode1`` bins the absolute phase of mode 1
     (which populates two clusters pi apart above threshold, the two-fold
-    phase-space symmetry).  ``folded_counts`` bin the distance of the phase
-    difference from 0 modulo pi (range ``[0, pi/2]``), which is the
-    locking diagnostic: above threshold the distribution concentrates at
+    phase-space symmetry).  ``n_locked`` counts the samples whose phase
+    difference lies within :data:`LOCKED_HALFWIDTH` of 0 modulo pi, which is
+    the locking diagnostic: above threshold the distribution concentrates at
     the semiclassical values, whose two-fold multiplicity makes "0 mod pi"
     the locked target for either detuning sign.
     """
@@ -302,19 +305,14 @@ class PhaseHistogram:
     counts_diff: np.ndarray
     counts_sum: np.ndarray
     counts_mode1: np.ndarray
-    folded_edges: np.ndarray
-    folded_counts: np.ndarray
     n_samples: int
+    n_locked: int
     discard_fraction: float
     note: str = ""
 
-    def locked_fraction(self, halfwidth: float = 0.3) -> float:
-        """Mass of the phase difference within ``halfwidth`` of 0 (mod pi)."""
-        total = self.folded_counts.sum()
-        if total == 0:
-            return math.nan
-        inside = self.folded_counts[self.folded_edges[1:] <= halfwidth + 1e-12]
-        return float(inside.sum() / total)
+    def locked_fraction(self) -> float:
+        """Share of the samples that are phase locked; NaN without samples."""
+        return self.n_locked / self.n_samples if self.n_samples else math.nan
 
 
 def sample_ensemble(params: SystemParams, scales: DerivedScales, config: SimConfig,
@@ -329,13 +327,13 @@ def sample_ensemble(params: SystemParams, scales: DerivedScales, config: SimConf
     when all diverged, no sample time remains, or moments are requested and
     the discard fraction exceeds :data:`MAX_DISCARD_FRACTION`.
     """
+    specs = [parse_moment_spec(s) for s in moment_specs]
     if not isinstance(n_workers, (int, np.integer)) or n_workers < 1:
         raise ParameterDomainError(f"n_workers must be an integer >= 1, got {n_workers!r}")
     first = int(math.ceil(config.burn_in / config.dt)) // config.sample_every + 1
     sample_at = set(range(first * config.sample_every, config.n_steps + 1, config.sample_every))
     if not sample_at:
         raise EstimationError("no sample times: t_max must exceed burn_in")
-    specs = [parse_moment_spec(s) for s in moment_specs]
     n_chunks = -(-config.n_traj // config.chunk_size)
     n_jobs = min(n_chunks, max(n_workers, -(-n_chunks // MAX_CHUNKS_PER_JOB)))
     jobs = [(params, scales, config, (int(g[0]), int(g[-1]) + 1), specs, phases, sample_at)
@@ -363,13 +361,13 @@ def sample_ensemble(params: SystemParams, scales: DerivedScales, config: SimConf
         for spec, m in zip(specs, per_traj)]
     if not phases:
         return estimates, None
-    diff, tot, mode1, fold = (sum(h) for h in zip(*(r[2] for r in results)))
+    diff, tot, mode1, locked = (sum(h) for h in zip(*(r[2] for r in results)))
     note = ("below threshold: phases undefined at zero amplitude"
             if scales.eps <= scales.eps_th else "")
     return estimates, PhaseHistogram(
         edges=_PHASE_EDGES.copy(), counts_diff=diff, counts_sum=tot, counts_mode1=mode1,
-        folded_edges=_FOLD_EDGES.copy(), folded_counts=fold, n_samples=int(diff.sum()),
-        discard_fraction=float(discard), note=note)
+        n_samples=int(diff.sum()), n_locked=int(locked[0]), discard_fraction=float(discard),
+        note=note)
 
 
 def ensemble_moments(params: SystemParams, scales: DerivedScales, config: SimConfig,

@@ -129,19 +129,23 @@ class SystemParams:
                    delta1=delta, delta2=delta, chi=chi, k=k, E=E, **phases)
 
 
+def _locking_sides(params: SystemParams) -> tuple[float, float]:
+    """The two sides of the locking condition of :func:`locking_feasible`."""
+    g1, g2 = params.gamma1, params.gamma2
+    d1, d2 = params.delta1, params.delta2
+    return 4 * params.chi**2 * d1 * d2, (g1 * d2 - g2 * d1) ** 2
+
+
 def _critical_eps_squared(params: SystemParams) -> tuple[float, float]:
     """Squared critical pump rates (smaller, larger) of the locked solutions.
 
     Real only when :func:`locking_feasible` holds.  Returns NaNs otherwise.
     """
-    g1, g2 = params.gamma1, params.gamma2
-    d1, d2 = params.delta1, params.delta2
-    chi = params.chi
-    radicand = 4 * chi**2 * d1 * d2 - (g1 * d2 - g2 * d1) ** 2
-    if radicand < 0:
+    lhs, rhs = _locking_sides(params)
+    if lhs < rhs:
         return math.nan, math.nan
-    root = math.sqrt(radicand)
-    base = g1 * g2 + d1 * d2 + chi**2
+    root = math.sqrt(lhs - rhs)
+    base = params.gamma1 * params.gamma2 + params.delta1 * params.delta2 + params.chi**2
     return base - root, base + root
 
 
@@ -151,9 +155,8 @@ def locking_feasible(params: SystemParams) -> bool:
     The condition is ``4 chi^2 delta1 delta2 > (gamma1 delta2 - gamma2 delta1)^2``;
     it requires same-sign detunings and a nonzero mixer.
     """
-    g1, g2 = params.gamma1, params.gamma2
-    d1, d2 = params.delta1, params.delta2
-    return 4 * params.chi**2 * d1 * d2 > (g1 * d2 - g2 * d1) ** 2
+    lhs, rhs = _locking_sides(params)
+    return lhs > rhs
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import drift_field, drift_jacobian
 from .errors import NotSteadyStateError, ParameterDomainError
-from .params import (DerivedScales, SystemParams, _critical_eps_squared,
+from .params import (DerivedScales, SystemParams, _critical_eps_squared, _locking_sides,
                      locking_feasible, wrap_angle)
 
 #: eigenvalue real parts must exceed this multiple of the smaller damping
@@ -85,12 +85,11 @@ def critical_points(params: SystemParams, scales: DerivedScales) -> CriticalPoin
     Raises
     ------
     ParameterDomainError
-        When the locking feasibility inequality
-        ``4 chi^2 delta1 delta2 > (gamma1 delta2 - gamma2 delta1)^2`` fails.
+        When :func:`~nopolock.params.locking_feasible` fails; the message
+        names both sides of its inequality.
     """
     if not locking_feasible(params):
-        lhs = 4 * params.chi**2 * params.delta1 * params.delta2
-        rhs = (params.gamma1 * params.delta2 - params.gamma2 * params.delta1) ** 2
+        lhs, rhs = _locking_sides(params)
         raise ParameterDomainError(
             "locked solutions do not exist: requires "
             "4*chi^2*delta1*delta2 > (gamma1*delta2 - gamma2*delta1)^2, "

@@ -32,7 +32,7 @@ from nopolock import (SimConfig, SystemParams, below_matrices, derive_scales,
                       ensemble_moments, equal_time_corr_below,
                       mean_photon_below, phase_histogram,
                       stationary_covariance_below, unitary_minimum,
-                      variance_above, variance_below, variance_steady)
+                      variance_steady)
 from nopolock.cli import main
 from nopolock.steady import replace_pump
 
@@ -117,12 +117,12 @@ def test_criterion_02_minimum_value_closure():
 
 
 def test_criterion_03_ordinary_oscillator_limit():
-    """variance_below at chi=1e-8 matches the mixer-free closed form to 1e-6."""
+    """variance_steady below threshold at chi=1e-8 matches the mixer-free closed form to 1e-6."""
     params, scales = make_system(delta=3.0, chi=1e-8)
     g = math.hypot(1.0, 3.0)
     worst = 0.0
     for eps in np.linspace(0.02, 0.95, 40) * scales.eps_th:
-        v = variance_below(params, scales, eps).V
+        v = variance_steady(params, scales, eps, regime="below").V
         worst = max(worst, abs(v - (1 - eps / (eps + g))))
     ok = worst < 1e-6
     report(3, ok, f"mixer-free limit: max deviation {worst:.2e}")
@@ -133,8 +133,8 @@ def test_criterion_04_threshold_cancellation():
     """V, V+, V- continuous across threshold to 1e-3 at chi=0.5, delta=3."""
     params, scales = make_system(delta=3.0, chi=0.5)
     d = 1e-6
-    below = variance_below(params, scales, scales.eps_th * (1 - d))
-    above = variance_above(params, scales, scales.eps_th * (1 + d))
+    below = variance_steady(params, scales, scales.eps_th * (1 - d), regime="below")
+    above = variance_steady(params, scales, scales.eps_th * (1 + d), regime="above")
     gaps = (abs(below.V - above.V), abs(below.V_plus - above.V_plus),
             abs(below.V_minus - above.V_minus))
     ok = max(gaps) < 1e-3 and all(np.isfinite(gaps))
@@ -152,7 +152,7 @@ def test_criterion_05_above_threshold_asymptote():
         params, scales = make_system(delta=delta, chi=chi)
         asymptote = 0.75 + chi / (4 * abs(delta))
         gaps[chi, delta] = [
-            abs(variance_above(params, scales, k * scales.eps_th).V - asymptote)
+            abs(variance_steady(params, scales, k * scales.eps_th, regime="above").V - asymptote)
             for k in pumps]
     shrinking = all(g[0] > g[1] > g[2] for g in gaps.values())
     ok = shrinking and max(g[-1] for g in gaps.values()) < 1e-3
@@ -175,8 +175,8 @@ def test_criterion_06_epr_product_near_threshold():
     worst_eq = 0.0
     for chi, delta in ((0.5, 1.0), (0.3, 1.0), (1.0, 2.0), (0.2, 1.5), (1.0, 1.5)):
         params, scales = make_system(delta=delta, chi=chi)
-        rep = variance_above(params, scales, scales.eps_th * (1 + 1e-6),
-                             delta_theta=0.0)
+        rep = variance_steady(params, scales, scales.eps_th * (1 + 1e-6),
+                              delta_theta=0.0, regime="above")
         target = (abs(delta) + chi) / (4 * abs(delta))
         worst_eq = max(worst_eq, abs(rep.product - target))
     above_quarter = True
@@ -184,8 +184,8 @@ def test_criterion_06_epr_product_near_threshold():
                        (0.2, 1.5), (2.0, 5.0)):
         params, scales = make_system(delta=delta, chi=chi)
         for ratio in (1 + 1e-6, 1.05, 1.5, 3.0, 10.0):
-            rep = variance_above(params, scales, ratio * scales.eps_th,
-                                 delta_theta=0.0)
+            rep = variance_steady(params, scales, ratio * scales.eps_th,
+                                  delta_theta=0.0, regime="above")
             above_quarter &= rep.product > 0.25
     ok = worst_eq < 1e-6 and above_quarter
     report(6, ok, f"product vs threshold value: max gap {worst_eq:.2e}; "
@@ -257,7 +257,7 @@ def test_criterion_09_phase_locking():
     p, s = replace_pump(params, scales, eps)
     config = SimConfig(dt=1e-3, t_max=25.0, n_traj=1024, burn_in=12.0, seed=404)
     hist = phase_histogram(p, s, config, n_workers=4)
-    frac = hist.locked_fraction(0.3)
+    frac = hist.locked_fraction()
     ok = frac >= 0.90
     report(9, ok, f"locked mass within 0.3 rad of 0 (mod pi): {frac:.3f} "
                   f"(discard {hist.discard_fraction:.3%})")

@@ -118,9 +118,10 @@ class TestVarianceCommand:
 
     @pytest.mark.parametrize("sweep", [
         "eps_ratio:2:1:0.1", "eps_ratio:0:1:nan", "eps_ratio:0:inf:0.1",
-        "eps_ratio:0:1:abc", "eps_ratio:0:1e300:1e-300", "eps_ratio:0:1e13:1"],
+        "eps_ratio:0:1:abc", "eps_ratio:0:1e300:1e-300", "eps_ratio:0:1e13:1",
+        "eps_ratio:0:1", "eps_ratio:0:1:0"],
         ids=["stop_below_start", "nan_step", "inf_stop", "text_step", "too_many_points",
-             "over_point_cap"])
+             "over_point_cap", "three_parts", "zero_step"])
     def test_bad_sweep_exit_code(self, tmp_path, capsys, monkeypatch, sweep):
         def no_grid(*args, **kwargs):
             raise AssertionError(f"grid allocated for a refused sweep: arange{args}")
@@ -146,6 +147,25 @@ class TestVarianceCommand:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("regime, sweep, message", [
+        ("unitary", "eps_ratio:0:1:0.5", "unitary sweeps use the variable chi_t"),
+        ("auto", "chi_t:0:1:0.5", "steady-state sweeps use the variable eps_ratio")],
+        ids=["unitary_over_eps_ratio", "steady_over_chi_t"])
+    def test_sweep_variable_must_match_regime(self, tmp_path, capsys, regime, sweep, message):
+        code = main(["variance", "--chi", "0.5", "--delta", "3", "--eps-ratio", "0.5",
+                     "--regime", regime, "--sweep", sweep, "--outdir", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_unitary_sweep_past_float_range_is_inf(self, capsys):
+        # sinh overflows from chi_t = 205 at eps/chi = 2; V is +inf there, not nan
+        assert main(["variance", "--regime", "unitary", "--chi", "1", "--eps-over-chi", "2",
+                     "--sweep", "chi_t:0:1000:250", "--output", "-"]) == 0
+        rows = capsys.readouterr().out.splitlines()[-5:]
+        assert rows == ["0,1,0,1,1,1,ok"] + [f"{t},inf,0,inf,inf,inf,ok"
+                                             for t in (250, 500, 750, 1000)]
 
     def test_sweep_point_cap_boundary(self):
         var, grid = parse_sweep(f"x:0:{MAX_SWEEP_POINTS - 1}:1")
@@ -246,6 +266,16 @@ class TestMcCommand:
         assert code == 4
         assert "estimation error" in capsys.readouterr().err
 
+    def test_discard_over_limit_exit_code(self, tmp_path, capsys):
+        # 15% of the trajectories leave the divergence bound; the limit is 1%
+        code = main(["mc", "--chi", "0.5", "--delta", "3", "--lam", "0.05",
+                     "--eps-ratio", "0.6", "--dt", "0.002", "--t-max", "1",
+                     "--burn-in", "0.5", "--n-traj", "200", "--chunk-size", "100",
+                     "--seed", "4", "--divergence-bound", "2", "--outdir", str(tmp_path)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("estimation error: discard fraction 0.1500")
+        assert outputs(tmp_path) == []
+
 
 class TestFigureCommand:
     def test_figure2_minimum(self, tmp_path):
@@ -284,6 +314,12 @@ class TestFigureCommand:
         assert main(["figure", "1", "--format", "csv+svg",
                      "--outdir", str(tmp_path)]) == 0
         assert (tmp_path / "fig1.svg").exists()
+
+    def test_svg_without_matplotlib_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "matplotlib", None)  # makes the import fail
+        assert main(["figure", "1", "--format", "csv+svg", "--outdir", str(tmp_path)]) == 2
+        assert "svg output needs matplotlib" in capsys.readouterr().err
+        assert not (tmp_path / "fig1.svg").exists()
 
 
 class TestConfigPlumbing:
@@ -401,8 +437,11 @@ class TestParameterTable:
         ["--chi", "nan", "--delta", "3"], ["--chi", "0.5", "--delta", "3", "--eps", "inf"],
         ["--chi", "0.5", "--delta", "3", "--lam", "nan"],
         ["--chi", "0.5", "--delta", "3", "--eps-ratio", "nan"],
-        ["--chi", "0.5", "--delta", "3", "--lam", "-1"]],
-        ids=["chi_nan", "eps_inf", "lam_nan", "eps_ratio_nan", "lam_negative"])
+        ["--chi", "0.5", "--delta", "3", "--lam", "-1"],
+        ["--chi", "0.5", "--delta", "3", "--eps", "1", "--eps-ratio", "0.5"],
+        ["--chi", "0.5", "--delta1", "1", "--delta2", "-1", "--eps-ratio", "0.5"]],
+        ids=["chi_nan", "eps_inf", "lam_nan", "eps_ratio_nan", "lam_negative", "two_pumps",
+             "eps_ratio_without_threshold"])
     def test_bad_model_parameter_exit_code(self, tmp_path, capsys, args):
         for command in ("steady", "variance"):
             assert main(COMMANDS[command] + args + ["--outdir", str(tmp_path)]) == 2
@@ -410,6 +449,12 @@ class TestParameterTable:
             assert captured.err.startswith("parameter error:"), command
             assert captured.out == ""
         assert outputs(tmp_path) == []
+
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("chi = 0.5\ndelta 3\n")
+        assert main(["steady", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"parameter error: {cfg}:2: expected 'key = value'\n"
 
     @pytest.mark.parametrize("name", ["absent.cfg", "."], ids=["missing", "directory"])
     def test_unreadable_config_file(self, tmp_path, capsys, name):

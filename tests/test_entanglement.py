@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 from nopolock import (MomentSet, NotSteadyStateError, ParameterDomainError,
                       QuadratureAngles, RegimeError, SingularParameterError,
+                      SystemParams, derive_scales, locking_feasible,
                       moments_above, optimal_angle_sum,
                       stationary_covariance_below, unitary_minimum,
-                      unitary_variance, variance_above, variance_below,
-                      variance_steady, variance_sweep, variances_from_moments,
-                      wrap_angle)
+                      unitary_variance, variance_steady, variance_sweep,
+                      variances_from_moments, wrap_angle)
 from nopolock import fluctuations, steady
 from nopolock.entanglement import unitary_period
 from nopolock.steady import steady_state
@@ -44,6 +45,10 @@ class TestVariancesFromMoments:
         assert rep.V == 1.0 and rep.R == 0.0
         assert rep.V_plus == 1.0 and rep.V_minus == 1.0
         assert not rep.inseparable and not rep.strong_epr
+
+    def test_negative_photon_number_refused(self):
+        with pytest.raises(ParameterDomainError, match="mean photon number"):
+            MomentSet(n=-1, m_aa=0j, m_a1sq=0j, m_cross=0j)
 
     def test_orthogonal_angle_difference_equalizes(self, standard):
         from nopolock.entanglement import moments_below
@@ -108,10 +113,10 @@ class TestOptimalAngleSum:
 class TestVarianceBelow:
     def test_vacuum_limit(self, standard):
         params, scales = standard
-        assert variance_below(params, scales, 0.0).V == 1.0
+        assert variance_steady(params, scales, 0.0, regime="below").V == 1.0
 
     def test_standard_value(self, standard):
-        rep = variance_below(*standard, eps=2.0)
+        rep = variance_steady(*standard, eps=2.0, regime="below")
         assert rep.V == pytest.approx(0.6110, abs=1e-4)
         assert rep.V == pytest.approx(eq54_variance(1.0, 3.0, 0.5, 2.0), abs=1e-12)
         assert rep.inseparable
@@ -120,14 +125,14 @@ class TestVarianceBelow:
         params, scales = standard
         for ratio in (0.1, 0.3, 0.6, 0.9, 0.94):
             eps = ratio * scales.eps_th
-            rep = variance_below(params, scales, eps)
+            rep = variance_steady(params, scales, eps, regime="below")
             assert rep.V == pytest.approx(eq54_variance(1.0, 3.0, 0.5, eps), abs=1e-10)
 
     @pytest.mark.parametrize("delta", [3.0, -3.0])
     def test_splitting_amplitude_magnitude(self, delta):
         params, scales = make_system(delta=delta)
         eps = 2.0
-        rep = variance_below(params, scales, eps, delta_theta=0.0)
+        rep = variance_steady(params, scales, eps, delta_theta=0.0, regime="below")
         assert abs(rep.R) == pytest.approx(
             abs(eq55_magnitude(1.0, delta, 0.5, eps)), rel=1e-10)
         # orientation fixed by continuity with the locked regime (see
@@ -140,7 +145,7 @@ class TestVarianceBelow:
         g = math.hypot(1.0, 3.0)
         for ratio in (0.2, 0.5, 0.9):
             eps = ratio * scales.eps_th
-            rep = variance_below(params, scales, eps)
+            rep = variance_steady(params, scales, eps, regime="below")
             assert rep.V == pytest.approx(1 - eps / (eps + g), abs=1e-6)
             assert rep.V_plus == pytest.approx(rep.V, abs=1e-6)
             assert rep.V_minus == pytest.approx(rep.V, abs=1e-6)
@@ -148,30 +153,30 @@ class TestVarianceBelow:
     def test_regime_error(self, standard):
         params, scales = standard
         with pytest.raises(RegimeError):
-            variance_below(params, scales, scales.eps_th)
+            variance_steady(params, scales, scales.eps_th, regime="below")
 
     def test_near_threshold_flagged(self, standard):
         params, scales = standard
-        assert variance_below(params, scales, 0.97 * scales.eps_th).flag \
+        assert variance_steady(params, scales, 0.97 * scales.eps_th, regime="below").flag \
             == "linearization-unreliable"
-        assert variance_below(params, scales, 0.5 * scales.eps_th).flag == "ok"
+        assert variance_steady(params, scales, 0.5 * scales.eps_th, regime="below").flag == "ok"
 
     def test_inseparable_below_threshold_when_mixing_small(self):
         params, scales = make_system(delta=3.0, chi=0.5)
         for ratio in np.linspace(0.05, 0.93, 15):
-            rep = variance_below(params, scales, ratio * scales.eps_th)
+            rep = variance_steady(params, scales, ratio * scales.eps_th, regime="below")
             assert 0.5 <= rep.V < 1.0
 
 
 class TestVarianceAbove:
     def test_threshold_value(self):
         params, scales = make_system(delta=10.0, chi=0.1)
-        rep = variance_above(params, scales, scales.eps_th * (1 + 1e-12))
+        rep = variance_steady(params, scales, scales.eps_th * (1 + 1e-12), regime="above")
         assert rep.V == pytest.approx(0.5025, abs=1e-6)
 
     def test_asymptote(self, standard):
         params, scales = standard
-        rep = variance_above(params, scales, 100 * scales.eps_th)
+        rep = variance_steady(params, scales, 100 * scales.eps_th, regime="above")
         assert rep.V == pytest.approx(0.75 + 0.5 / 12, abs=1e-3)
 
     @pytest.mark.parametrize("delta", [3.0, -3.0])
@@ -183,7 +188,7 @@ class TestVarianceAbove:
         pinned = 0.5 + chi / (2 * ad)
         for ratio in (1.2, 1.7, 3.0):
             _, _, eps = at_ratio(params, scales, ratio)
-            rep = variance_above(params, scales, eps, delta_theta=0.0)
+            rep = variance_steady(params, scales, eps, delta_theta=0.0, regime="above")
             w = math.sqrt(1 + (eps**2 - scales.eps_th**2))
             rising = 1 - 1 / (2 * w)
             if delta > 0:
@@ -198,7 +203,7 @@ class TestVarianceAbove:
             params, scales = make_system(delta=delta, chi=chi)
             for ratio in (1.0 + 1e-9, 1.3, 2.0, 5.0):
                 _, _, eps = at_ratio(params, scales, ratio)
-                rep = variance_above(params, scales, eps, delta_theta=0.0)
+                rep = variance_steady(params, scales, eps, delta_theta=0.0, regime="above")
                 w = math.sqrt(1 + (eps**2 - scales.eps_th**2))
                 expected = (abs(delta) + chi) / (4 * abs(delta)) * (2 - 1 / w)
                 assert rep.product == pytest.approx(expected, rel=1e-10)
@@ -212,7 +217,7 @@ class TestVarianceAbove:
             params, scales = make_system(delta=delta)
             for ratio in (1.5, 3.0):
                 _, _, eps = at_ratio(params, scales, ratio)
-                closed = variance_above(params, scales, eps, delta_theta=0.0)
+                closed = variance_steady(params, scales, eps, delta_theta=0.0, regime="above")
                 moments = moments_above(params, scales, eps)
                 sigma = -steady_state(params, scales, eps, "+").phase_sum
                 ang = QuadratureAngles.from_sums(sigma, 0.0)
@@ -224,15 +229,15 @@ class TestVarianceAbove:
     def test_regime_and_singular_errors(self, standard):
         params, scales = standard
         with pytest.raises(RegimeError):
-            variance_above(params, scales, 0.5 * scales.eps_th)
+            variance_steady(params, scales, 0.5 * scales.eps_th, regime="above")
         zero_det, zd = make_system(delta=0.0, chi=0.5)
         with pytest.raises(SingularParameterError):
-            variance_above(zero_det, zd, 2 * zd.eps_th)
+            variance_steady(zero_det, zd, 2 * zd.eps_th, regime="above")
 
     def test_sum_stays_below_one_above_half(self, standard):
         params, scales = standard
         for ratio in np.linspace(1.07, 10.0, 25):
-            rep = variance_above(params, scales, ratio * scales.eps_th)
+            rep = variance_steady(params, scales, ratio * scales.eps_th, regime="above")
             assert 0.5 <= rep.V < 1.0
 
 
@@ -241,8 +246,8 @@ class TestVarianceSteadyDispatch:
         params, scales = standard
         below = variance_steady(params, scales, 0.5 * scales.eps_th)
         above = variance_steady(params, scales, 1.5 * scales.eps_th)
-        assert below.V == variance_below(params, scales, 0.5 * scales.eps_th).V
-        assert above.V == variance_above(params, scales, 1.5 * scales.eps_th).V
+        assert below.V == variance_steady(params, scales, 0.5 * scales.eps_th, regime="below").V
+        assert above.V == variance_steady(params, scales, 1.5 * scales.eps_th, regime="above").V
 
     def test_explicit_regime_mismatch_raises(self, standard):
         params, scales = standard
@@ -321,10 +326,9 @@ class TestVarianceSweep:
         for regime, points in (("below", eps[:1]), ("above", eps[1:]), ("auto", eps)):
             with pytest.raises(ParameterDomainError, match="delta_theta must be finite"):
                 variance_sweep(params, scales, points, angle, regime)
-        for view, point in ((variance_steady, eps[0]), (variance_below, eps[0]),
-                            (variance_above, eps[1])):
+        for regime, point in (("auto", eps[0]), ("below", eps[0]), ("above", eps[1])):
             with pytest.raises(ParameterDomainError, match="delta_theta must be finite"):
-                view(params, scales, point, angle)
+                variance_steady(params, scales, point, angle, regime)
 
     def test_single_point_evaluators_are_views(self, standard):
         params, scales = standard
@@ -338,9 +342,22 @@ class TestVarianceSweep:
             assert rep.angles.sigma_theta == pytest.approx(sweep.sigma_theta[i], abs=1e-15)
             assert rep.angles.delta_theta == pytest.approx(0.4, abs=1e-15)
             assert rep.angles.degenerate is (e == 0)
-            single = (variance_below if e < scales.eps_th * (1 - 1e-9)
-                      else variance_above)(params, scales, e, 0.4)
+            single = variance_steady(params, scales, e, 0.4,
+                                     "below" if e < scales.eps_th * (1 - 1e-9) else "above")
             assert single == rep
+
+    @pytest.mark.parametrize("regime", ["above", "auto"])
+    def test_asymmetric_parameters_refused_above_threshold(self, regime):
+        params = SystemParams(gamma2=1.5, delta1=2.0, delta2=3.0, chi=1.5)
+        scales = derive_scales(params)
+        assert locking_feasible(params)
+        with pytest.raises(ParameterDomainError, match="implemented for symmetric parameters"):
+            variance_sweep(params, scales, 2 * scales.eps_th, regime=regime)
+
+    def test_locked_phase_needs_nonlinearity(self):
+        params, scales = make_system(lam=0.0)
+        with pytest.raises(ParameterDomainError, match="lam must be positive"):
+            variance_sweep(params, scales, 2 * scales.eps_th, regime="above")
 
     def test_regime_checks_cover_every_point(self, standard):
         params, scales = standard
@@ -473,6 +490,25 @@ class TestUnitary:
         with pytest.raises(ParameterDomainError):
             unitary_variance(1.0, 0.5, -0.1)
 
+    @pytest.mark.parametrize("chi, eps", [(-1.0, 0.5), (1.0, -0.5)])
+    def test_negative_rates_rejected(self, chi, eps):
+        with pytest.raises(ParameterDomainError, match="non-negative"):
+            unitary_variance(chi, eps, 0.1)
+
+    @pytest.mark.parametrize("sigma_theta", [0.0, 0.3])
+    def test_past_float_range_is_inf(self, sigma_theta):
+        # at eps/chi = 2 sinh(2 eta t) overflows just after t = 205
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = unitary_variance(1.0, 2.0, np.array([204.0, 400.0, 800.0]), sigma_theta)
+        assert 1e305 < values[0] < math.inf
+        assert values[1:].tolist() == [math.inf, math.inf]
+
+    @pytest.mark.parametrize("eps", [1.0, 2.0])
+    def test_period_only_in_oscillatory_regime(self, eps):
+        with pytest.raises(RegimeError, match="periodic only"):
+            unitary_period(1.0, eps)
+
     def test_broadcasts_over_times(self):
         t = np.linspace(0.0, 3.0, 31)
         for eps in (0.4, 1.0, 2.5):
@@ -516,6 +552,12 @@ class TestUnitaryMinimum:
     def test_minimum_keeps_precision_at_weak_mixing(self, chi):
         # the expanded 1 + 2n - 2<a1 a2> cancels to V = 0 at chi/eps = 1e-9
         assert unitary_minimum(chi, 1.0)[1] == pytest.approx(chi / (1 + chi), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0])
+    def test_on_the_boundary_of_equal_rates(self, rate):
+        t_min, v_min = unitary_minimum(rate, rate)
+        assert t_min == 1 / (2 * rate)
+        assert v_min == pytest.approx(0.5, rel=1e-15)
 
     def test_limit_of_equal_rates(self):
         _, v_min = unitary_minimum(1.0, 0.999999)

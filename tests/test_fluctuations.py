@@ -57,6 +57,10 @@ class TestBelowMatrices:
         with pytest.raises(ParameterDomainError):
             below_matrices(p, derive_scales(p), 0.5)
 
+    def test_negative_pump_rejected(self, standard):
+        with pytest.raises(ParameterDomainError, match="non-negative"):
+            below_matrices(*standard, eps=-0.1)
+
 
 def closed_form_blocks(gamma, delta, chi, eps):
     """Literal transcription of the stationary correlator closed forms."""
@@ -163,6 +167,12 @@ class TestMeanPhotonBelow:
         assert mean_photon_below(params, scales, eps) == pytest.approx(
             eps**2 / (2 * s2), rel=1e-14)
 
+    @pytest.mark.parametrize("ratio", [1.0, 1.5])
+    def test_regime_error_at_and_above_threshold(self, standard, ratio):
+        params, scales = standard
+        with pytest.raises(RegimeError, match="outside"):
+            mean_photon_below(params, scales, ratio * scales.eps_th)
+
     def test_standard_value_and_block_consistency(self, standard):
         n = mean_photon_below(*standard, eps=2.0)
         assert n == pytest.approx(0.41580, abs=1e-5)
@@ -178,6 +188,11 @@ class TestAboveMatrices:
         zero_det, zd_scales = make_system(delta=0.0, chi=0.5)
         with pytest.raises(SingularParameterError):
             above_matrices(zero_det, zd_scales, 2 * zd_scales.eps_th)
+
+    def test_mixer_required(self):
+        params, scales = make_system(chi=0.0)
+        with pytest.raises(ParameterDomainError, match="chi > 0"):
+            above_matrices(params, scales, 2 * scales.eps_th)
 
     def test_number_difference_variance(self, standard):
         params, scales, eps = at_ratio(*standard, 1.5)

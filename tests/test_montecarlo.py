@@ -52,6 +52,11 @@ class TestNoiseIncrement:
         assert np.abs(inc[:2]).max() == 0.0
         assert np.abs(inc[2:]).max() > 0.0
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_step_must_be_positive(self, standard, dt):
+        with pytest.raises(ParameterDomainError, match="dt must be positive"):
+            noise_increment(np.zeros(4, complex), *standard, dt, np.random.default_rng(0))
+
     def test_sample_statistics(self, standard):
         params, scales, _ = at_ratio(*standard, 0.6)
         n, dt = 1_000_000, 1e-3
@@ -345,6 +350,16 @@ class TestSimConfigDomain:
         with pytest.raises(ParameterDomainError, match=f"{field} must be an integer"):
             SimConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_traj", 1, "n_traj must be at least 2"),
+        ("divergence_bound", 0.0, "divergence_bound must be positive"),
+        ("scheme", "milstein", "unknown integration scheme"),
+        ("sample_every", 0, "sample_every and chunk_size must be >= 1"),
+        ("chunk_size", 0, "sample_every and chunk_size must be >= 1")])
+    def test_settings_out_of_range_refused(self, field, value, message):
+        with pytest.raises(ParameterDomainError, match=message):
+            SimConfig(**{field: value})
+
     def test_horizon_must_be_whole_number_of_steps(self):
         with pytest.raises(ParameterDomainError, match="whole number of steps"):
             SimConfig(dt=0.3, t_max=1.0)
@@ -493,7 +508,7 @@ class TestPhaseHistogram:
         config = SimConfig(dt=1e-3, t_max=18.0, n_traj=256, burn_in=10.0, seed=13)
         hist = phase_histogram(p, s, config, n_workers=2)
         assert hist.note == ""
-        assert hist.locked_fraction(0.3) > 0.9
+        assert hist.locked_fraction() > 0.9
 
     def test_two_fold_symmetry_of_locked_phases(self):
         # trajectories split between the pi-shifted twins: the absolute
@@ -518,6 +533,14 @@ class TestPhaseHistogram:
         m_twin = mass_near(hist.counts_mode1, locked.phi10 + math.pi)
         assert m_rep + m_twin > 0.9
         assert m_rep > 0.1 and m_twin > 0.1
+
+    def test_locked_fraction_is_the_locked_share(self):
+        empty = np.zeros(181, dtype=np.int64)
+        hist = PhaseHistogram(edges=montecarlo._PHASE_EDGES, counts_diff=empty,
+                              counts_sum=empty, counts_mode1=empty, n_samples=8, n_locked=6,
+                              discard_fraction=0.0)
+        assert hist.locked_fraction() == 0.75
+        assert math.isnan(dataclasses.replace(hist, n_samples=0, n_locked=0).locked_fraction())
 
     def test_below_threshold_note(self, standard):
         params, scales, eps = at_ratio(*standard, 0.5)
@@ -544,6 +567,16 @@ class TestEstimationFailure:
         config = SimConfig(dt=1e-3, t_max=1.0, n_traj=4, burn_in=5.0)
         with pytest.raises(EstimationError, match="sample"):
             ensemble_moments(params, scales, config, ["n1"])
+
+    def test_discard_over_limit_aborts_moments_only(self):
+        # 30 of the 200 trajectories leave this bound: 15% discarded
+        params, scales, _ = at_ratio(*make_system(delta=3.0, chi=0.5, lam=0.05), 0.6)
+        config = SimConfig(dt=2e-3, t_max=1.0, burn_in=0.5, n_traj=200, chunk_size=100,
+                           seed=4, divergence_bound=2.0)
+        with pytest.raises(EstimationError, match=r"discard fraction 0\.1500 exceeds"):
+            sample_ensemble(params, scales, config, ["n1"])
+        # phase histograms alone have no discard limit
+        assert phase_histogram(params, scales, config).discard_fraction == pytest.approx(0.15)
 
 
 class TestSpecs:

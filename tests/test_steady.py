@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 from nopolock import (NotSteadyStateError, ParameterDomainError, SystemParams,
                       critical_points, derive_scales, drift_residual,
                       output_rates, stability_eigenvalues, steady_state)
+from nopolock.cli import fmt, main
 from nopolock.dynamics import drift_field, drift_jacobian
 from nopolock.params import locking_feasible
 from nopolock.steady import STABILITY_RTOL
@@ -112,6 +113,33 @@ class TestSteadyState:
         params, scales, eps = at_ratio(*standard, 1.5)
         with pytest.raises(ParameterDomainError, match="unknown branch"):
             steady_state(params, scales, eps, branch=branch)
+
+    @pytest.mark.parametrize("branch", ["+", "-"])
+    def test_zero_pump_gives_the_zero_solution(self, standard, capsys, branch):
+        st = steady_state(*standard, eps=0.0, branch=branch)
+        assert st.is_zero and not st.below_critical and st.stable
+        assert main(["steady", "--chi", "0.5", "--delta", "3", "--eps", "0"]) == 0
+        printed = [line.split(":", 1)[1].split() for line in capsys.readouterr().out.splitlines()
+                   if "eigs(Re)" in line]
+        assert printed == [[fmt(ev.real) for ev in st.eigenvalues]] * 2
+
+    def test_zero_solution_below_threshold_without_locking(self):
+        params, scales = make_system(chi=0.0)
+        assert not locking_feasible(params)
+        st = steady_state(params, scales, 0.5 * scales.eps_th, branch="+")
+        assert st.is_zero and st.below_critical and st.stable
+
+    def test_zero_solution_state_and_twin(self, standard):
+        st = steady_state(*standard, eps=0.0)
+        np.testing.assert_array_equal(st.state_vector(), np.zeros(4, complex))
+        assert st.twin() is st
+
+    @pytest.mark.parametrize("lam, eps, message", [
+        (1.0, -0.5, "eps must be non-negative"), (0.0, 0.5, "lam must be positive")])
+    def test_domain_refused(self, lam, eps, message):
+        params, scales = make_system(lam=lam)
+        with pytest.raises(ParameterDomainError, match=message):
+            steady_state(params, scales, eps)
 
     def test_above_threshold_without_locking_raises(self):
         params, scales = make_system(chi=0.0)
