@@ -400,7 +400,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_table_flags(p, "mc")
     p.add_argument("--moments", default="n1,a1a2,b1a2,a1",
                    help="comma list of moment aliases (montecarlo.MOMENT_ALIASES)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes; a CPU they leave spare draws noise ahead")
     p.add_argument("--phases", action="store_true",
                    help="also write the phase histogram CSV")
     p.add_argument("--output", help="file name under outdir, or - for stdout")

@@ -323,11 +323,17 @@ def unitary_variance(chi: float, eps: float, t: float | np.ndarray,
         # sinh x) into squares, which do not cancel near the minimum
         eta = math.sqrt(eps**2 - chi**2)
         with np.errstate(over="ignore"):  # sinh past the float range: V = +inf
-            V = ((np.exp(-eta * t) - chi**2 * np.sinh(eta * t) / (eta * (eps + eta)))**2
-                 + (chi * np.sinh(eta * t) / eta)**2)
+            if chi == 0:  # the mixing terms vanish; written out they are 0 * inf late on
+                V = np.exp(-eta * t)**2
+            else:
+                V = ((np.exp(-eta * t) - chi**2 * np.sinh(eta * t) / (eta * (eps + eta)))**2
+                     + (chi * np.sinh(eta * t) / eta)**2)
             if math.cos(sigma_theta) != 1:  # skipped at 1, where it would be inf * 0
-                m_aa = eps * np.sinh(2 * eta * t) / (2 * eta)
-                V = V + 2 * m_aa * (1 - math.cos(sigma_theta))
+                w = 1 - math.cos(sigma_theta)
+                term = 2 * (eps * np.sinh(2 * eta * t) / (2 * eta)) * w  # 2 m_aa w
+                # past the range of sinh(2 eta t), sinh(eta t) cosh(eta t) keeps it finite
+                V = V + np.where(np.isinf(term), 2 * eps * w / eta * np.sinh(eta * t)
+                                 * np.cosh(eta * t), term)
     return float(V) if V.ndim == 0 else V
 
 

@@ -14,7 +14,13 @@ coefficients, preallocated buffers, the ``alive`` mask applied only after a
 first divergence, the divergence test on every step) and feeds accumulators:
 moment sums and phase histograms for :func:`sample_ensemble`, or the
 recorder of :func:`integrate_trajectory`.  ``dynamics.drift_field`` and
-:func:`noise_increment` are the reference definitions of the step.
+:func:`noise_increment` are the reference definitions of the step.  Noise
+is drawn in blocks of up to :data:`NOISE_BLOCK_STEPS` steps.  When
+:func:`sample_ensemble` finds a CPU that its job processes leave spare, a
+job at least :data:`DRAW_AHEAD_MIN_WIDTH` lanes wide draws the next block on
+a helper thread during the current block's steps (numpy's Philox fill runs
+without the GIL).  The helper makes the same calls in the same order, so
+no bit changes; it is joined before :func:`_integrate` returns or raises.
 
 Lanes and determinism: trajectory ``i`` is in chunk ``i // chunk_size``, and
 chunk ``j`` draws one ``(4, width_j)`` normal array per step from the Philox
@@ -29,6 +35,8 @@ picks its start method, and ``multiprocessing`` is imported only then.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -43,6 +51,8 @@ MAX_DISCARD_FRACTION = 0.01
 #: bounds of an engine call's memory: chunks side by side, steps per noise draw
 MAX_CHUNKS_PER_JOB = 8
 NOISE_BLOCK_STEPS = 10
+#: narrowest job whose noise is drawn ahead on a spare CPU (measured break-even)
+DRAW_AHEAD_MIN_WIDTH = 256
 
 #: exponent tuples (alpha1, alpha2, beta1, beta2) for common observables
 MOMENT_ALIASES: dict[str, tuple[int, int, int, int]] = {
@@ -181,12 +191,58 @@ def noise_increment(state: np.ndarray, params: SystemParams, scales: DerivedScal
     return inc * math.sqrt(dt)
 
 
+def _noise_blocks(draw, starts, bufs):
+    """Yield ``(k0, buf)`` for each block start ``k0``, ``buf`` filled by ``draw(k0, buf)``.
+
+    With two buffers a helper thread fills the next one while the caller
+    uses the current one, making the same calls in the same order as the
+    one-buffer path.  A draw's exception reaches the caller; closing the
+    generator stops and joins the helper.
+    """
+    if len(bufs) == 1:
+        for k0 in starts:
+            draw(k0, bufs[0])
+            yield k0, bufs[0]
+        return
+    free, filled = threading.Semaphore(2), threading.Semaphore(0)
+    failed, stop = [], []
+
+    def helper():
+        for i, k0 in enumerate(starts):
+            free.acquire()
+            if stop:
+                return
+            try:
+                draw(k0, bufs[i % 2])
+            except BaseException as exc:  # handed to the caller
+                failed.append(exc)
+            filled.release()
+            if failed:
+                return
+
+    thread = threading.Thread(target=helper, name="nopolock-draw-ahead", daemon=True)
+    thread.start()
+    try:
+        for i, k0 in enumerate(starts):
+            filled.acquire()
+            if failed:
+                raise failed[0]
+            yield k0, bufs[i % 2]
+            free.release()
+    finally:
+        stop.append(True)
+        free.release()
+        thread.join()
+
+
 def _integrate(params: SystemParams, scales: DerivedScales, config: SimConfig, state: np.ndarray,
-               streams, visit_at, visit) -> np.ndarray:
+               streams, visit_at, visit, draw_ahead: bool = False) -> np.ndarray:
     """Advance ``(4, W)`` ``state`` (overwritten) to ``t_max``; returns the ``alive`` mask.
 
     ``streams`` pairs Philox generators with the lane slices they feed, and
     ``visit(state, alive)`` runs after each step number in ``visit_at``.
+    With ``draw_ahead`` a helper thread draws the next noise block during
+    the current one's steps (same numbers); it ends before this returns.
     """
     dt, width = config.dt, state.shape[1]
     g = np.array([params.gamma1 + 1j * params.delta1, params.gamma2 + 1j * params.delta2])
@@ -196,40 +252,47 @@ def _integrate(params: SystemParams, scales: DerivedScales, config: SimConfig, s
     new, term = np.empty_like(x), np.empty_like(x)
     c, s, z, p = (np.empty((2, width), dtype=complex) for _ in range(4))
     steps = min(config.sample_every, NOISE_BLOCK_STEPS)
-    xi = np.empty((steps, 4, width))
     alive, frozen = np.ones(width, dtype=bool), None
     screen = 0.5 * config.divergence_bound  # parts within it keep every modulus in bound
-    for k0 in range(0, config.n_steps, steps):
+
+    def draw(k0, xi):
         block = min(steps, config.n_steps - k0)
         for rng, lanes in streams:  # same numbers as per-step draws
             xi[:block, :, lanes] = rng.standard_normal((block, 4, lanes.stop - lanes.start))
-        for k in range(k0 + 1, k0 + block + 1):
-            np.multiply(x[:, 0], x[:, 1], out=c)
-            c *= -scales.lam * dt
-            c += scales.eps * dt                              # c dt, cb dt
-            np.multiply(lin, x, out=new)
-            np.multiply(cross, x[:, ::-1], out=term)
-            new += term
-            np.multiply(c[:, None], x[::-1, ::-1], out=term)  # c b2, c b1, cb a2, cb a1
-            new += term
-            np.multiply(c, 0.5, out=s)
-            np.sqrt(s, out=s)
-            z.real, z.imag = xi[k - k0 - 1, 0::2], xi[k - k0 - 1, 1::2]
-            new[:, 0] += np.multiply(s, z, out=p)             # s (xi0 + i xi1)
-            new[:, 1] += np.multiply(s, np.conjugate(z, out=z), out=p)
-            if frozen is not None:
-                np.copyto(new, x, where=frozen)
-            flat = new.reshape(-1).view(float)
-            if not (flat.max() <= screen and flat.min() >= -screen):
-                with np.errstate(invalid="ignore"):
-                    bad = alive & ~(np.abs(new).max(axis=(0, 1)) <= config.divergence_bound)
-                if bad.any():
-                    np.copyto(new, x, where=bad)
-                    alive &= ~bad
-                    frozen = ~alive
-            x, new = new, x
-            if k in visit_at:
-                visit(x.reshape(4, width), alive)
+
+    blocks = _noise_blocks(draw, range(0, config.n_steps, steps),
+                           [np.empty((steps, 4, width)) for _ in range(2 if draw_ahead else 1)])
+    try:
+        for k0, xi in blocks:
+            for k in range(k0 + 1, min(k0 + steps, config.n_steps) + 1):
+                np.multiply(x[:, 0], x[:, 1], out=c)
+                c *= -scales.lam * dt
+                c += scales.eps * dt                              # c dt, cb dt
+                np.multiply(lin, x, out=new)
+                np.multiply(cross, x[:, ::-1], out=term)
+                new += term
+                np.multiply(c[:, None], x[::-1, ::-1], out=term)  # c b2, c b1, cb a2, cb a1
+                new += term
+                np.multiply(c, 0.5, out=s)
+                np.sqrt(s, out=s)
+                z.real, z.imag = xi[k - k0 - 1, 0::2], xi[k - k0 - 1, 1::2]
+                new[:, 0] += np.multiply(s, z, out=p)             # s (xi0 + i xi1)
+                new[:, 1] += np.multiply(s, np.conjugate(z, out=z), out=p)
+                if frozen is not None:
+                    np.copyto(new, x, where=frozen)
+                flat = new.reshape(-1).view(float)
+                if not (flat.max() <= screen and flat.min() >= -screen):
+                    with np.errstate(invalid="ignore"):
+                        bad = alive & ~(np.abs(new).max(axis=(0, 1)) <= config.divergence_bound)
+                    if bad.any():
+                        np.copyto(new, x, where=bad)
+                        alive &= ~bad
+                        frozen = ~alive
+                x, new = new, x
+                if k in visit_at:
+                    visit(x.reshape(4, width), alive)
+    finally:
+        blocks.close()
     return alive
 
 
@@ -263,8 +326,12 @@ def _accumulate(state, alive, specs, sums, hists) -> None:
 
 
 def _group_worker(args):
-    """Integrate chunks ``[first, stop)`` side by side as one wide array."""
-    params, scales, config, (first, stop), specs, want_phase, sample_at = args
+    """Integrate chunks ``[first, stop)`` side by side as one wide array.
+
+    A wide enough job draws its noise ahead when ``spare_cpu`` says a CPU
+    is left over by the processes that run jobs.
+    """
+    params, scales, config, (first, stop), specs, want_phase, sample_at, spare_cpu = args
     bounds = [min(j * config.chunk_size, config.n_traj) - first * config.chunk_size
               for j in range(first, stop + 1)]
     streams = [(_chunk_rng(config.seed, j), slice(lo, hi))
@@ -274,8 +341,17 @@ def _group_worker(args):
     bins = _PHASE_EDGES.size - 1
     hists = [np.zeros(n, dtype=np.int64) for n in (bins, bins, bins, 1)] if want_phase else []
     alive = _integrate(params, scales, config, np.zeros((4, width), dtype=complex), streams,
-                       sample_at, lambda s, a: _accumulate(s, a, specs, sums, hists))
+                       sample_at, lambda s, a: _accumulate(s, a, specs, sums, hists),
+                       spare_cpu and width >= DRAW_AHEAD_MIN_WIDTH)
     return alive, sums, hists
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _pool_context():
@@ -336,10 +412,12 @@ def sample_ensemble(params: SystemParams, scales: DerivedScales, config: SimConf
         raise EstimationError("no sample times: t_max must exceed burn_in")
     n_chunks = -(-config.n_traj // config.chunk_size)
     n_jobs = min(n_chunks, max(n_workers, -(-n_chunks // MAX_CHUNKS_PER_JOB)))
-    jobs = [(params, scales, config, (int(g[0]), int(g[-1]) + 1), specs, phases, sample_at)
-            for g in np.array_split(np.arange(n_chunks), n_jobs)]
-    if n_workers > 1 and n_jobs > 1:
-        with _pool_context().Pool(min(n_workers, n_jobs)) as pool:
+    n_procs = min(n_workers, n_jobs)
+    spare_cpu = _cpu_count() > n_procs
+    jobs = [(params, scales, config, (int(g[0]), int(g[-1]) + 1), specs, phases, sample_at,
+             spare_cpu) for g in np.array_split(np.arange(n_chunks), n_jobs)]
+    if n_procs > 1:
+        with _pool_context().Pool(n_procs) as pool:
             results = pool.map(_group_worker, jobs)
     else:
         results = [_group_worker(job) for job in jobs]

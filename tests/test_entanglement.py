@@ -504,6 +504,23 @@ class TestUnitary:
         assert 1e305 < values[0] < math.inf
         assert values[1:].tolist() == [math.inf, math.inf]
 
+    def test_no_mixing_past_sinh_range(self):
+        # at chi = 0 the mixing terms would read 0 * inf once sinh(eta t) overflows
+        values = unitary_variance(0.0, 1.0, np.array([100.0, 800.0]))
+        assert values[0] == pytest.approx(math.exp(-200.0), rel=1e-12)
+        assert values[1] == 0.0
+
+    def test_small_sum_angle_term_finite_past_sinh_range(self):
+        # sinh(2 eta t) overflows at t = 356, yet V is about 4.1e302: at large
+        # eta t every sinh and cosh is e^(eta t) / 2, so V = K e^(2 eta t)
+        chi, eps, t, sigma_theta = 1e-3, 1.0, 356.0, 1e-6
+        eta = math.sqrt(eps**2 - chi**2)
+        k = ((chi**2 / (2 * eta * (eps + eta)))**2 + (chi / (2 * eta))**2
+             + eps * (1 - math.cos(sigma_theta)) / (2 * eta))
+        value = unitary_variance(chi, eps, np.array([t]), sigma_theta)[0]
+        assert value == pytest.approx(math.exp(2 * eta * t + math.log(k)), rel=1e-12)
+        assert 4.1e302 < value < 4.2e302
+
     @pytest.mark.parametrize("eps", [1.0, 2.0])
     def test_period_only_in_oscillatory_regime(self, eps):
         with pytest.raises(RegimeError, match="periodic only"):

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -324,6 +327,158 @@ class TestEngine:
             ensemble_moments(params, scales, config, ["n1"], n_workers=workers)
         with pytest.raises(ParameterDomainError, match="n_workers"):
             phase_histogram(params, scales, config, n_workers=workers)
+
+
+class RecordingStream:
+    """A chunk stream that records which thread draws, and can fail on a given call."""
+
+    def __init__(self, rng, threads, fail_at=None):
+        self.rng, self.threads, self.fail_at = rng, threads, fail_at
+
+    def standard_normal(self, shape):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == self.fail_at:
+            raise RuntimeError("draw failed")
+        return self.rng.standard_normal(shape)
+
+
+class FakePoolContext:
+    """A ``_pool_context()`` stand-in whose pool maps in this process."""
+
+    class Pool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+
+class TestDrawAhead:
+    """The helper thread that draws the next noise block changes no bit."""
+
+    # three streams (the last one ragged) at a bound that freezes lanes at
+    # scattered times; 127 steps end in a partial noise block of 7
+    CONFIG = SimConfig(dt=2e-3, t_max=0.254, n_traj=90, burn_in=0.0, seed=4,
+                       chunk_size=37, divergence_bound=1.5)
+
+    def run(self, draw_ahead, seen=None, fail_at=None, visit_error_at=None):
+        params, scales, _ = at_ratio(*make_system(delta=3.0, chi=0.5, lam=0.05), 0.6)
+        config, threads, seen = self.CONFIG, [], [] if seen is None else seen
+        streams = [(RecordingStream(_chunk_rng(config.seed, j), threads, fail_at),
+                    slice(37 * j, min(37 * (j + 1), 90))) for j in range(3)]
+
+        def visit(x, alive):
+            seen.append((x.copy(), alive.copy()))
+            if len(seen) == visit_error_at:
+                raise KeyError("visit failed")
+
+        state = np.zeros((4, config.n_traj), dtype=complex)
+        state[:, :30] = 1.2  # near the bound: 29 lanes leave it, at scattered steps
+        alive = _integrate(params, scales, config, state, streams,
+                           set(range(1, config.n_steps + 1, 3)) | {config.n_steps}, visit,
+                           draw_ahead)
+        return state, alive, seen, threads
+
+    def assert_same_run(self):
+        before = threading.active_count()
+        off, on = self.run(False), self.run(True)
+        assert threading.active_count() == before
+        assert self.CONFIG.n_steps % montecarlo.NOISE_BLOCK_STEPS == 7
+        assert 0 < on[1].sum() < self.CONFIG.n_traj  # some lanes diverged
+        np.testing.assert_array_equal(on[0], off[0])
+        np.testing.assert_array_equal(on[1], off[1])
+        assert len(on[2]) == len(off[2]) == 43
+        for (x_on, a_on), (x_off, a_off) in zip(on[2], off[2]):
+            np.testing.assert_array_equal(x_on, x_off)
+            np.testing.assert_array_equal(a_on, a_off)
+        assert len(on[3]) == len(off[3]) == 3 * 13
+        assert set(off[3]) == {threading.main_thread()}
+        assert threading.main_thread() not in set(on[3]) and len(set(on[3])) == 1
+
+    def test_bitwise_equal_to_inline(self):
+        self.assert_same_run()
+
+    def test_bitwise_equal_under_fast_thread_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_same_run()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("draw_ahead", [False, True])
+    def test_draw_error_reaches_caller_after_the_same_steps(self, draw_ahead):
+        before, seen = threading.active_count(), []
+        with pytest.raises(RuntimeError, match="draw failed"):
+            self.run(draw_ahead, seen, fail_at=3 * 5 + 2)  # block 6, second stream
+        assert threading.active_count() == before
+        assert len(seen) == 17  # blocks 1-5 ran in full: visits at steps 1, 4, ..., 49
+
+    @pytest.mark.parametrize("draw_ahead", [False, True])
+    def test_visit_error_stops_the_helper(self, draw_ahead):
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="visit failed"):
+            self.run(draw_ahead, visit_error_at=5)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus, n_workers, n_traj, expected", [
+        (1, 1, 512, [(512, False)]), (1, 2, 512, [(256, False)] * 2),
+        (2, 1, 512, [(512, True)]), (2, 2, 512, [(256, False)] * 2),
+        (2, 2, 256, [(256, True)]),  # one job: the pool is not started
+        (4, 1, 512, [(512, True)]), (4, 2, 512, [(256, True)] * 2),
+        (4, 1, 16, [(16, False)])])  # narrower than DRAW_AHEAD_MIN_WIDTH
+    def test_selection_rule(self, monkeypatch, cpus, n_workers, n_traj, expected):
+        params, scales, _ = at_ratio(*make_system(delta=3.0, chi=0.5, lam=0.05), 0.6)
+        config = SimConfig(dt=2e-3, t_max=0.02, n_traj=n_traj, burn_in=0.0, seed=4,
+                           chunk_size=min(n_traj, 256))
+        assert montecarlo.DRAW_AHEAD_MIN_WIDTH == 256
+        calls = []
+
+        def recording_integrate(params, scales, config, state, streams, visit_at, visit,
+                                draw_ahead):
+            calls.append((state.shape[1], draw_ahead))
+            return _integrate(params, scales, config, state, streams, visit_at, visit,
+                              draw_ahead)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(montecarlo, "_pool_context", FakePoolContext)
+        monkeypatch.setattr(montecarlo, "_integrate", recording_integrate)
+        sample_ensemble(params, scales, config, ["n1"], n_workers=n_workers)
+        assert calls == expected
+
+    def test_cpu_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert montecarlo._cpu_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert montecarlo._cpu_count() == 1
+
+    def test_no_thread_outlives_sample_ensemble(self, monkeypatch):
+        # 256 lanes with a spare CPU: the helper runs; bound 2 loses more than 1%
+        params, scales, _ = at_ratio(*make_system(delta=3.0, chi=0.5, lam=0.05), 0.6)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        used, inner = [], _integrate
+
+        def recording_integrate(*args):
+            used.append(args[-1])
+            return inner(*args)
+
+        monkeypatch.setattr(montecarlo, "_integrate", recording_integrate)
+        before = threading.active_count()
+        config = SimConfig(dt=2e-3, t_max=1.0, burn_in=0.5, n_traj=256, chunk_size=256, seed=4)
+        sample_ensemble(params, scales, config, ["n1"], phases=True)
+        assert threading.active_count() == before
+        with pytest.raises(EstimationError, match="discard fraction"):
+            sample_ensemble(params, scales, dataclasses.replace(config, divergence_bound=2.0),
+                            ["n1"])
+        assert threading.active_count() == before
+        assert used == [True, True]
 
 
 class TestSimConfigDomain:
