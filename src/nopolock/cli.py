@@ -232,8 +232,9 @@ def _variance_rows(params, scales, ns, var, grid):
             raise ParameterDomainError(
                 "unitary sweeps measure time as chi*t and need chi > 0")
         values = unitary_variance(params.chi, scales.eps, grid / params.chi, ns.sigma_theta)
-        return fmt_rows(grid, values, np.zeros(grid.shape), values, values, values * values,
-                        flag=["ok"] * grid.size)
+        with np.errstate(over="ignore"):  # V^2 is +inf once V passes the root of the float range
+            return fmt_rows(grid, values, np.zeros(grid.shape), values, values, values * values,
+                            flag=["ok"] * grid.size)
     if var != "eps_ratio":
         raise ParameterDomainError("steady-state sweeps use the variable eps_ratio")
     sweep = variance_sweep(params, scales, grid * scales.eps_th, ns.delta_theta,

@@ -325,9 +325,9 @@ def unitary_variance(chi: float, eps: float, t: float | np.ndarray,
         with np.errstate(over="ignore"):  # sinh past the float range: V = +inf
             if chi == 0:  # the mixing terms vanish; written out they are 0 * inf late on
                 V = np.exp(-eta * t)**2
-            else:
-                V = ((np.exp(-eta * t) - chi**2 * np.sinh(eta * t) / (eta * (eps + eta)))**2
-                     + (chi * np.sinh(eta * t) / eta)**2)
+            else:  # chi (chi sinh), not chi**2 sinh: chi**2 can underflow to 0 where sinh is inf
+                mix = chi * np.sinh(eta * t)
+                V = (np.exp(-eta * t) - chi * mix / (eta * (eps + eta)))**2 + (mix / eta)**2
             if math.cos(sigma_theta) != 1:  # skipped at 1, where it would be inf * 0
                 w = 1 - math.cos(sigma_theta)
                 term = 2 * (eps * np.sinh(2 * eta * t) / (2 * eta)) * w  # 2 m_aa w

@@ -9,7 +9,9 @@ whose stationary covariance is ``C = (1/2) F^-1 D`` thanks to the operator
 identity ``D F^T = F D`` satisfied by this model.  Above threshold the
 number/phase deviations decouple into independent sum (+) and difference
 (-) pairs, each again a 2x2 linear Langevin system; their stationary
-covariances are evaluated from closed forms.
+covariances are evaluated from closed forms.  Lagged covariances use a
+closed-form 2x2 ``exp(-F tau)``, below threshold on the two 2x2 blocks that
+the mode-swap symmetry splits ``F`` into (:func:`_lagged`): numpy suffices.
 
 Sign conventions here follow the linearization of the stochastic equations
 (so that photon numbers come out positive); consequently the off-diagonal
@@ -24,6 +26,7 @@ finite.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -181,7 +184,7 @@ def temporal_corr_below(params: SystemParams, scales: DerivedScales,
                         eps: float, tau: float) -> np.ndarray:
     """Two-time covariance ``<dx(t + tau) dx(t)^T>`` of the 4-vector.
 
-    Equals ``expm(-F*tau) C`` for ``tau >= 0`` and ``C expm(-F^T*|tau|)``
+    Equals ``exp(-F*tau) C`` for ``tau >= 0`` and ``C exp(-F^T*|tau|)``
     for ``tau < 0``; at ``tau = 0`` it reduces to the stationary covariance.
     """
     mats = below_matrices(params, scales, eps)
@@ -189,12 +192,29 @@ def temporal_corr_below(params: SystemParams, scales: DerivedScales,
 
 
 def _lagged(F: np.ndarray, C: np.ndarray, tau: float) -> np.ndarray:
-    """Lag-``tau`` covariance of ``d/dt dx = -F dx + R`` with stationary covariance ``C``."""
-    from scipy.linalg import expm  # the only scipy use; kept off the import path
+    """Lag-``tau`` covariance of ``d/dt dx = -F dx + R`` with stationary covariance ``C``.
 
-    if tau >= 0:
-        return expm(-F * tau) @ C
-    return C @ expm(-F.T * abs(tau))
+    ``exp(M)``, ``M = -F |tau|`` (``-F^T |tau|`` for ``tau < 0``), is ``e^h (cosh(s) I
+    + sinh(s)/s (M - h I))`` for 2x2 ``M`` (Cayley-Hamilton), ``h = tr M / 2``, ``s^2 =
+    h^2 - det M``.  A 4x4 ``F`` (below threshold) and its ``C`` commute with the swap of
+    modes 1 and 2 in each pair: in the basis ``(x1 +- x2) / sqrt 2`` they are two 2x2 blocks.
+    """
+    if F.shape == (4, 4):
+        plus, minus = (_lagged(F[::2, ::2] + sign * F[::2, 1::2],
+                               C[::2, ::2] + sign * C[::2, 1::2], tau) for sign in (1, -1))
+        return (np.kron((plus + minus) / 2, np.eye(2))
+                + np.kron((plus - minus) / 2, [[0, 1], [1, 0]]))  # the second factor is the swap
+    M = -abs(tau) * (F if tau >= 0 else F.T)
+    h = (M[0, 0] + M[1, 1]) / 2
+    s = cmath.sqrt((M[0, 0] - h)**2 + M[0, 1] * M[1, 0])  # h^2 - det M, from M - h I
+    if abs(s) < 1:  # bounded, uncancelled factors; exact at the defective point s = 0
+        cosh, sinhc = cmath.exp(h) * cmath.cosh(s), cmath.exp(h) * (cmath.sinh(s) / s if s else 1)
+    else:  # e^(h +- s) apart: at long lags e^h underflows where cosh(s) overflows
+        up, down = cmath.exp(h + s), cmath.exp(h - s)
+        cosh, sinhc = (up + down) / 2, (up - down) / (2 * s)
+    E = cosh * np.eye(2) + sinhc * (M - h * np.eye(2))
+    E = E.real if np.isrealobj(M) else E  # s is real or imaginary: cosh, sinhc are real
+    return E @ C if tau >= 0 else C @ E
 
 
 def mean_photon_below(params: SystemParams, scales: DerivedScales,

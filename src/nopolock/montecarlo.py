@@ -17,9 +17,9 @@ recorder of :func:`integrate_trajectory`.  ``dynamics.drift_field`` and
 :func:`noise_increment` are the reference definitions of the step.  Noise
 is drawn in blocks of up to :data:`NOISE_BLOCK_STEPS` steps.  When
 :func:`sample_ensemble` finds a CPU that its job processes leave spare, a
-job at least :data:`DRAW_AHEAD_MIN_WIDTH` lanes wide draws the next block on
-a helper thread during the current block's steps (numpy's Philox fill runs
-without the GIL).  The helper makes the same calls in the same order, so
+job at least :data:`DRAW_AHEAD_MIN_WIDTH` lanes wide draws the next block on a
+one-thread ``ThreadPoolExecutor`` during the current block's steps (numpy's Philox
+fill runs without the GIL).  The helper makes the same calls in the same order, so
 no bit changes; it is joined before :func:`_integrate` returns or raises.
 
 Lanes and determinism: trajectory ``i`` is in chunk ``i // chunk_size``, and
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -194,45 +193,25 @@ def noise_increment(state: np.ndarray, params: SystemParams, scales: DerivedScal
 def _noise_blocks(draw, starts, bufs):
     """Yield ``(k0, buf)`` for each block start ``k0``, ``buf`` filled by ``draw(k0, buf)``.
 
-    With two buffers a helper thread fills the next one while the caller
-    uses the current one, making the same calls in the same order as the
-    one-buffer path.  A draw's exception reaches the caller; closing the
-    generator stops and joins the helper.
+    With two buffers a one-thread executor fills the next one while the caller uses the
+    current one, making the same calls in the same order as the one-buffer path.  A draw's
+    exception reaches the caller; the helper is joined on return, on raise and on close.
     """
+    jobs = [(k0, bufs[i % len(bufs)]) for i, k0 in enumerate(starts)]
     if len(bufs) == 1:
-        for k0 in starts:
-            draw(k0, bufs[0])
-            yield k0, bufs[0]
+        for job in jobs:
+            draw(*job)
+            yield job
         return
-    free, filled = threading.Semaphore(2), threading.Semaphore(0)
-    failed, stop = [], []
+    from concurrent.futures import ThreadPoolExecutor  # kept off the import path
 
-    def helper():
-        for i, k0 in enumerate(starts):
-            free.acquire()
-            if stop:
-                return
-            try:
-                draw(k0, bufs[i % 2])
-            except BaseException as exc:  # handed to the caller
-                failed.append(exc)
-            filled.release()
-            if failed:
-                return
-
-    thread = threading.Thread(target=helper, name="nopolock-draw-ahead", daemon=True)
-    thread.start()
-    try:
-        for i, k0 in enumerate(starts):
-            filled.acquire()
-            if failed:
-                raise failed[0]
-            yield k0, bufs[i % 2]
-            free.release()
-    finally:
-        stop.append(True)
-        free.release()
-        thread.join()
+    with ThreadPoolExecutor(1, thread_name_prefix="nopolock-draw-ahead") as helper:
+        pending = helper.submit(draw, *jobs[0])
+        for job, following in zip(jobs, jobs[1:] + [None]):
+            pending.result()
+            if following:
+                pending = helper.submit(draw, *following)
+            yield job
 
 
 def _integrate(params: SystemParams, scales: DerivedScales, config: SimConfig, state: np.ndarray,

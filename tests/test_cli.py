@@ -160,12 +160,19 @@ class TestVarianceCommand:
         assert not any(tmp_path.iterdir())
 
     def test_unitary_sweep_past_float_range_is_inf(self, capsys):
-        # sinh overflows from chi_t = 205 at eps/chi = 2; V is +inf there, not nan
+        # sinh overflows from chi_t = 205 at eps/chi = 2; V is +inf there, not nan.
+        # At chi_t = 125 V is finite and V^2 is past the float range
         assert main(["variance", "--regime", "unitary", "--chi", "1", "--eps-over-chi", "2",
-                     "--sweep", "chi_t:0:1000:250", "--output", "-"]) == 0
-        rows = capsys.readouterr().out.splitlines()[-5:]
-        assert rows == ["0,1,0,1,1,1,ok"] + [f"{t},inf,0,inf,inf,inf,ok"
-                                             for t in (250, 500, 750, 1000)]
+                     "--sweep", "chi_t:0:1000:125", "--output", "-"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        rows = out.out.splitlines()[-9:]
+        assert rows[0] == "0,1,0,1,1,1,ok"
+        t, v, r, v_plus, v_minus, product, flag = rows[1].split(",")
+        assert t == "125" and 1e154 < float(v) < math.inf and product == "inf"
+        assert (r, v_plus, v_minus, flag) == ("0", v, v, "ok")
+        assert rows[2::2] == [f"{t},inf,0,inf,inf,inf,ok" for t in (250, 500, 750, 1000)]
+        assert rows[3::2] == [f"{t},inf,0,inf,inf,inf,ok" for t in (375, 625, 875)]
 
     def test_sweep_point_cap_boundary(self):
         var, grid = parse_sweep(f"x:0:{MAX_SWEEP_POINTS - 1}:1")
@@ -468,11 +475,18 @@ class TestParameterTable:
 
 COLD_START = """
 import json, sys
+sys.modules.update(dict.fromkeys(json.loads(sys.argv[2])))  # importing these raises ImportError
+import nopolock
 from nopolock import cli
 built_at_import = cli._parser is not None
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, built_at_import, sorted(m for m in sys.modules
-                                                 if m.split(".")[0] in ("scipy", "multiprocessing"))]))
+params = nopolock.SystemParams.symmetric(gamma=1.0, delta=3.0, chi=0.5, eps=0.0, lam=1.0)
+scales = nopolock.derive_scales(params)
+for ratio, corr in ((0.5, nopolock.temporal_corr_below), (1.5, nopolock.temporal_corr_above)):
+    corr(*nopolock.replace_pump(params, scales, ratio * scales.eps_th), ratio * scales.eps_th, 0.7)
+loaded = [m for m, module in sys.modules.items()
+          if module and m.split(".")[0] in ("scipy", "multiprocessing")]
+print(json.dumps([codes, built_at_import, sorted(loaded)]))
 """
 
 #: one run of each subcommand, small enough for a unit test
@@ -484,17 +498,21 @@ RUNS = [["figure", "3"],
 
 
 def test_cli_runs_load_neither_scipy_nor_multiprocessing(tmp_path):
-    # a fresh interpreter: what these runs import is what a user's start pays for
+    # a fresh interpreter: what these runs import is what a user's start pays for.
+    # With scipy blocked they and both temporal correlators still run: numpy is the
+    # only runtime dependency
     src = str(Path(nopolock.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(RUNS)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    codes, built_at_import, loaded = json.loads(done.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0, 0]
-    assert not built_at_import
-    assert loaded == []
+    for blocked in ([], ["scipy"]):
+        done = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(RUNS),
+                               json.dumps(blocked)], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        codes, built_at_import, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0, 0]
+        assert not built_at_import
+        assert loaded == []
 
 
 def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):

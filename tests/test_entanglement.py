@@ -509,6 +509,10 @@ class TestUnitary:
         values = unitary_variance(0.0, 1.0, np.array([100.0, 800.0]))
         assert values[0] == pytest.approx(math.exp(-200.0), rel=1e-12)
         assert values[1] == 0.0
+        # chi^2 underflows to 0 at chi = 1e-170, yet (chi sinh(eta t))^2 overflows at t = 800
+        values = unitary_variance(1e-170, 1.0, np.array([100.0, 800.0]))
+        assert values[0] == pytest.approx(math.exp(-200.0), rel=1e-12)
+        assert values[1] == math.inf
 
     def test_small_sum_angle_term_finite_past_sinh_range(self):
         # sinh(2 eta t) overflows at t = 356, yet V is about 4.1e302: at large

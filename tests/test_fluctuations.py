@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from nopolock import (ParameterDomainError, RegimeError, SingularParameterError,
                       equal_time_corr_below, mean_photon_below,
                       stationary_covariance_below, temporal_corr_above,
                       temporal_corr_below)
+from nopolock.fluctuations import _lagged
 
 from conftest import at_ratio, make_system
 
@@ -259,3 +261,68 @@ class TestTemporalAbove:
         params, scales = standard
         with pytest.raises(RegimeError):
             temporal_corr_above(params, scales, 0.5 * scales.eps_th, 0.1)
+
+
+#: (gamma, delta, chi): the standard point, delta < 0, chi = |delta| and a generic one
+LAG_POINTS = [(1.0, 3.0, 0.5), (1.0, -3.0, 0.5), (1.0, 2.0, 2.0), (0.7, 1.3, 0.4)]
+LAGS = [0.0, 0.1, -0.1, 0.7, -0.7, 40.0, -40.0]
+
+
+def expm_lagged(F, C, tau):
+    """The lag rule written with ``scipy.linalg.expm``."""
+    return expm(-F * tau) @ C if tau >= 0 else C @ expm(-F.T * abs(tau))
+
+
+class TestClosedFormLag:
+    """The closed-form 2x2 exponentials of ``_lagged`` against ``scipy.linalg.expm``."""
+
+    @pytest.mark.parametrize("gamma, delta, chi", LAG_POINTS)
+    def test_below_matches_expm(self, gamma, delta, chi):
+        params, scales = make_system(gamma=gamma, delta=delta, chi=chi)
+        pumps = [0.3 * scales.eps_th, 0.9 * scales.eps_th, 0.999 * scales.eps_th]
+        if 0 < abs(chi - abs(delta)) < scales.eps_th:  # the swap-odd block is defective
+            pumps.append(abs(chi - abs(delta)))
+        for eps in pumps:
+            mats = below_matrices(params, scales, eps)
+            C = stationary_covariance_below(params, scales, eps)
+            for tau in LAGS:
+                err = np.abs(temporal_corr_below(params, scales, eps, tau)
+                             - expm_lagged(mats.F, C, tau)).max()
+                assert err <= 1e-12 * np.abs(C).max(), (eps, tau)
+
+    @pytest.mark.parametrize("gamma, delta, chi", LAG_POINTS)
+    def test_above_matches_expm(self, gamma, delta, chi):
+        system = make_system(gamma=gamma, delta=delta, chi=chi)
+        for ratio in (1.2, 1.5, 3.0):
+            params, scales, eps = at_ratio(*system, ratio)
+            mats = above_matrices(params, scales, eps)
+            scale = max(np.abs(mats.C_plus).max(), np.abs(mats.C_minus).max())
+            for tau in LAGS[:-2] + [50.0, -50.0]:
+                Cp, Cm = temporal_corr_above(params, scales, eps, tau)
+                assert np.abs(Cp - expm_lagged(mats.F_plus, mats.C_plus, tau)).max() \
+                    <= 1e-12 * scale, (ratio, tau)
+                assert np.abs(Cm - expm_lagged(mats.F_minus, mats.C_minus, tau)).max() \
+                    <= 1e-12 * scale, (ratio, tau)
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 0.5 + 3j])
+    @pytest.mark.parametrize("tau", [0.3, 1.7, -2.0])
+    def test_jordan_block(self, lam, tau):
+        # s = 0 exactly: exp(-J t) = e^(-lam t) (I - t N), N the nilpotent part
+        J = np.array([[lam, 1.0], [0.0, lam]])
+        t = abs(tau)
+        exact = np.exp(-lam * t) * np.array([[1.0, -t], [0.0, 1.0]])
+        got = _lagged(J, np.eye(2), tau)
+        np.testing.assert_allclose(got, exact if tau >= 0 else exact.T,
+                                   rtol=0, atol=1e-15 * np.abs(exact).max())
+
+    @pytest.mark.parametrize("tau", [1000.0, -1000.0])
+    def test_long_lag_is_zero_without_warning(self, standard, tau):
+        # e^h underflows there while cosh(s) overflows; written together they give 0 * inf
+        params, scales = standard
+        above, above_scales, eps = at_ratio(params, scales, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            below = temporal_corr_below(params, scales, 1.0, tau)
+            pairs = temporal_corr_above(above, above_scales, eps, tau)
+        for C in (below, *pairs):
+            assert np.isfinite(C).all() and not C.any()
