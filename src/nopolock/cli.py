@@ -31,7 +31,7 @@ from .entanglement import unitary_variance, variance_sweep
 from .errors import (EstimationError, ParameterDomainError, RegimeError)
 from .montecarlo import LOCKED_HALFWIDTH, SimConfig, sample_ensemble
 from .params import DerivedScales, SystemParams, derive_scales, locking_feasible
-from .steady import critical_points, output_rates, replace_pump, steady_state
+from .steady import _checked, critical_points, output_rates, replace_pump, steady_state
 
 OUTDIR_ENV = "NOPOLOCK_OUTDIR"
 
@@ -75,7 +75,7 @@ def _table(command: str) -> dict[str, type]:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; ``#`` starts a comment."""
+    """Parse a flat ``key = value`` file; ``#`` starts a comment, a repeated key is refused."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -89,6 +89,8 @@ def read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ParameterDomainError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ParameterDomainError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value
     return values
 
@@ -121,10 +123,7 @@ def build_params(values: dict) -> tuple[SystemParams, DerivedScales]:
         model.setdefault(name, values.get(shorthand, default))
     model.setdefault("gamma3", 100.0 * max(model["gamma1"], model["gamma2"]))
     if "k" not in model:
-        lam = values.get("lam", 1.0)
-        if lam < 0:
-            raise ParameterDomainError(f"lam must be non-negative, got {lam}")
-        model["k"] = math.sqrt(lam * model["gamma3"])
+        model["k"] = math.sqrt(_checked("lam", values.get("lam", 1.0)) * model["gamma3"])
     params = SystemParams(**model)
     scales = derive_scales(params)
 

@@ -29,7 +29,7 @@ from .errors import ParameterDomainError, RegimeError, SingularParameterError
 from .fluctuations import (_require_symmetric, above_matrices, equal_time_corr_below,
                            equal_time_corr_below_stack, near_threshold)
 from .params import DerivedScales, QuadratureAngles, SystemParams, wrap_angle
-from .steady import _locked_family, steady_state
+from .steady import _checked, _locked_family, steady_state
 
 FLAG_OK = "ok"
 FLAG_NEAR_THRESHOLD = "linearization-unreliable"
@@ -54,6 +54,8 @@ class MomentSet:
     m_cross: complex
 
     def __post_init__(self) -> None:
+        if not all(map(cmath.isfinite, (self.n, self.m_aa, self.m_a1sq, self.m_cross))):
+            raise ParameterDomainError(f"moments must be finite, got {self}")
         if self.n < -1e-12:
             raise ParameterDomainError(f"mean photon number must be >= 0, got {self.n}")
 
@@ -198,7 +200,7 @@ def variance_sweep(params: SystemParams, scales: DerivedScales, eps: np.ndarray 
     """
     if not math.isfinite(delta_theta):
         raise ParameterDomainError(f"delta_theta must be finite, got {delta_theta!r}")
-    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    eps = np.atleast_1d(_checked("eps", eps))
     edge = scales.eps_th * (1 - _THRESHOLD_HANDOFF)
     if regime == "below":
         below = np.ones(eps.shape, dtype=bool)
@@ -226,11 +228,7 @@ def _below_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
     and the (finite, continuous) variance limits must be taken from the
     above-threshold closed forms instead.
     """
-    outside = ~((eps >= 0) & (eps < edge))
-    if outside.any():
-        raise RegimeError(f"eps = {eps[outside][0]:.6g} outside the below-threshold range "
-                          f"[0, {scales.eps_th:.6g}); at threshold use the "
-                          "above-threshold evaluator for the limit values")
+    _checked("eps", eps, edge)
     corr_aa, corr_ab = equal_time_corr_below_stack(params, scales, eps)
     n, m_aa = corr_ab[:, 0, 0].real, corr_aa[:, 0, 1]
     # sigma_theta = -arg <a1 a2>; free (taken as 0) where the pair moment vanishes
@@ -252,10 +250,7 @@ def _above_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
     if delta == 0:
         raise SingularParameterError(
             "above-threshold variances divide by |delta|; delta = 0 is singular")
-    short = eps < edge
-    if short.any():
-        raise RegimeError(
-            f"eps = {eps[short][0]:.6g} is below threshold {scales.eps_th:.6g}")
+    _checked("eps", eps, edge, below=False)
 
     ad = abs(delta)
     w = np.sqrt(1 + np.maximum(0.0, eps**2 - scales.eps_th**2) / gamma**2)
@@ -303,11 +298,9 @@ def unitary_variance(chi: float, eps: float, t: float | np.ndarray,
     precision at its minimum ``chi / (eps + chi)`` however small ``chi / eps``,
     and is ``+inf`` once it exceeds the float range.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ParameterDomainError("time must be non-negative")
-    if chi < 0 or eps < 0:
-        raise ParameterDomainError("chi and eps must be non-negative")
+    t = _checked("t", t)
+    _checked("chi", chi)
+    _checked("eps", eps)
     if not math.isfinite(sigma_theta):
         raise ParameterDomainError(f"sigma_theta must be finite, got {sigma_theta!r}")
     # photon number n and the (real) pair moment <a1 a2> of the evolved vacuum

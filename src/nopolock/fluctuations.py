@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError, RegimeError, SingularParameterError
+from .errors import ParameterDomainError, SingularParameterError
 from .params import DerivedScales, SystemParams
-from .steady import steady_state
+from .steady import _checked, steady_state
 
 #: relative half-width of the pump band around threshold inside which the
 #: linearized treatment is flagged unreliable
@@ -101,13 +101,7 @@ def _checked_below_matrices(params: SystemParams, scales: DerivedScales,
     ``max(1, eps * gamma)``; the first violation raises.
     """
     gamma, _, _ = _require_symmetric(params)
-    if np.any(eps < 0):
-        raise ParameterDomainError("eps must be non-negative")
-    above = eps >= scales.eps_th
-    if above.any():
-        raise RegimeError(
-            f"eps = {eps[above][0]:.6g} is at or above threshold {scales.eps_th:.6g}; "
-            "use the above-threshold path")
+    _checked("eps", eps, scales.eps_th)
     F, D = _below_matrix_stacks(params, eps)
     ident = np.abs(D @ F.swapaxes(1, 2) - F @ D).max(axis=(1, 2))
     bad = ident > 1e-12 * np.maximum(1.0, eps * gamma)
@@ -204,7 +198,7 @@ def _lagged(F: np.ndarray, C: np.ndarray, tau: float) -> np.ndarray:
                                C[::2, ::2] + sign * C[::2, 1::2], tau) for sign in (1, -1))
         return (np.kron((plus + minus) / 2, np.eye(2))
                 + np.kron((plus - minus) / 2, [[0, 1], [1, 0]]))  # the second factor is the swap
-    M = -abs(tau) * (F if tau >= 0 else F.T)
+    M = -_checked("|tau|", abs(tau)) * (F if tau >= 0 else F.T)
     h = (M[0, 0] + M[1, 1]) / 2
     s = cmath.sqrt((M[0, 0] - h)**2 + M[0, 1] * M[1, 0])  # h^2 - det M, from M - h I
     if abs(s) < 1:  # bounded, uncancelled factors; exact at the defective point s = 0
@@ -219,12 +213,8 @@ def _lagged(F: np.ndarray, C: np.ndarray, tau: float) -> np.ndarray:
 
 def mean_photon_below(params: SystemParams, scales: DerivedScales,
                       eps: float) -> float:
-    """Stationary mean photon number per mode below threshold."""
-    gamma, delta, chi = _require_symmetric(params)
-    if not 0 <= eps < scales.eps_th:
-        raise RegimeError(f"eps = {eps:.6g} outside [0, eps_th)")
-    s2 = gamma**2 + chi**2 + delta**2 - eps**2
-    return eps**2 * s2 / (2 * (s2**2 - 4 * delta**2 * chi**2))
+    """Stationary mean photon number per mode below threshold, ``<d_alpha1 d_beta1>``."""
+    return float(equal_time_corr_below(params, scales, eps)[1][0, 0].real)
 
 
 @dataclass(frozen=True)
@@ -259,10 +249,7 @@ def above_matrices(params: SystemParams, scales: DerivedScales,
             "delta = 0 is a singular parameter point")
     if chi <= 0:
         raise ParameterDomainError("above-threshold locked fluctuations require chi > 0")
-    if eps <= scales.eps_th:
-        raise RegimeError(
-            f"eps = {eps:.6g} is at or below threshold {scales.eps_th:.6g}; "
-            "use the below-threshold path")
+    _checked("eps", eps, np.nextafter(scales.eps_th, math.inf), below=False)
 
     state = steady_state(params, scales, eps, branch="+")
     n0 = state.n10

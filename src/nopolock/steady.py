@@ -19,13 +19,33 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import drift_field, drift_jacobian
-from .errors import NotSteadyStateError, ParameterDomainError
+from .errors import NotSteadyStateError, ParameterDomainError, RegimeError
 from .params import (DerivedScales, SystemParams, _critical_eps_squared, _locking_sides,
                      locking_feasible, wrap_angle)
 
 #: eigenvalue real parts must exceed this multiple of the smaller damping
 #: rate to count as decaying; guards against spurious marginality at threshold
 STABILITY_RTOL = 1e-9
+
+
+def _checked(name: str, values, edge: float = math.inf, below: bool = True) -> np.ndarray:
+    """``values`` (pumps, times, rates or lags) as a float array, each one checked.
+
+    A negative or non-finite value raises :class:`ParameterDomainError`.  A pump
+    at or past ``edge`` (``below``), or short of it, raises :class:`RegimeError`:
+    ``edge`` is where a below- or above-threshold evaluator stops.
+    """
+    values = np.asarray(values, dtype=float)
+    bad = ~(np.isfinite(values) & (values >= 0))
+    if bad.any():
+        raise ParameterDomainError(f"{name} must be non-negative and finite, got {values[bad][0]}")
+    wrong = values >= edge if below else values < edge
+    if wrong.any():
+        side = ("outside the below-threshold range [0, {:.6g}); use the above-threshold evaluator"
+                if below else "is at or below threshold, short of {:.6g}; use the below-threshold "
+                "evaluator")
+        raise RegimeError(f"{name} = {values[wrong][0]:.6g} " + side.format(edge))
+    return values
 
 
 @dataclass(frozen=True)
@@ -118,8 +138,7 @@ def steady_state(params: SystemParams, scales: DerivedScales, eps: float,
     """
     if branch not in ("+", "-"):
         raise ParameterDomainError(f"unknown branch {branch!r}")
-    if eps < 0:
-        raise ParameterDomainError("pump rate eps must be non-negative")
+    _checked("eps", eps)
     if scales.lam <= 0:
         raise ParameterDomainError("effective nonlinearity lam must be positive (k > 0)")
 

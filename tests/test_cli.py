@@ -345,6 +345,12 @@ class TestConfigPlumbing:
         assert main(command + ["--config", str(cfg), "--outdir", str(tmp_path)]) == 2
         assert "'chii'" in capsys.readouterr().err
 
+    def test_duplicate_config_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("chi = 0.5\ndelta = 3\nchi = 5\n")
+        assert main(["steady", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"parameter error: {cfg}:3: duplicate key 'chi'\n"
+
     def test_config_key_of_another_command_refused(self, tmp_path, capsys):
         cfg = tmp_path / "mc.cfg"
         cfg.write_text("chi = 0.5\ndelta = 3.0\nn_traj = 64\n")
@@ -357,6 +363,13 @@ class TestConfigPlumbing:
                      "--sweep", "eps_ratio:0.5:0.6:0.1",
                      "--output", "env.csv"]) == 0
         assert (tmp_path / "env.csv").exists()
+
+    def test_negative_pump_sweep_is_a_parameter_error(self, capsys):
+        # a negative pump is outside every regime, so it is no regime error (exit 3)
+        assert main(["variance", "--chi", "0.5", "--delta", "3",
+                     "--sweep", "eps_ratio:-0.5:0.5:0.5", "--output", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parameter error:") and captured.out == ""
 
     def test_stdout_output(self, capsys):
         assert main(["variance", "--chi", "0.5", "--delta", "3",

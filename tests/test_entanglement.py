@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from nopolock import (MomentSet, NotSteadyStateError, ParameterDomainError,
                       QuadratureAngles, RegimeError, SingularParameterError,
-                      SystemParams, derive_scales, locking_feasible,
-                      moments_above, optimal_angle_sum,
-                      stationary_covariance_below, unitary_minimum,
+                      SystemParams, above_matrices, below_matrices, derive_scales,
+                      equal_time_corr_below, locking_feasible, mean_photon_below,
+                      moments_above, moments_below, optimal_angle_sum,
+                      stationary_covariance_below, temporal_corr_above,
+                      temporal_corr_below, unitary_minimum,
                       unitary_variance, variance_steady, variance_sweep,
                       variances_from_moments, wrap_angle)
 from nopolock import fluctuations, steady
@@ -615,3 +618,46 @@ class TestUnitaryMinimum:
         t_min, v_min = unitary_minimum(1e-9, 1.0)
         assert t_min == pytest.approx(math.log(2e9) / 2, rel=1e-12)
         assert abs(v_min) < 1e-6
+
+
+#: the lagged evaluators, each with a pump (in units of threshold) it accepts
+LAGGED = {"temporal_corr_below": (temporal_corr_below, 0.5),
+          "temporal_corr_above": (temporal_corr_above, 1.5)}
+#: every public evaluator of the linearized theory that takes a pump, as
+#: ``f(params, scales, eps)``; the lagged ones at lag 0.5
+PUMP_EVALUATORS = {
+    f.__name__: f for f in (steady_state, below_matrices, equal_time_corr_below,
+                            stationary_covariance_below, mean_photon_below, moments_below,
+                            above_matrices, moments_above, variance_steady, variance_sweep)
+} | {name: lambda p, s, eps, f=f: f(p, s, eps, 0.5) for name, (f, _) in LAGGED.items()}
+UNITARY_ARGS = {"chi": 1.0, "eps": 0.5, "t": 1.0}
+
+
+def refused(name, value):
+    return f"{name} must be non-negative and finite, got {value}"
+
+
+REFUSALS = (
+    [pytest.param(lambda p, s, f=f, x=x: f(p, s, x), refused("eps", x), id=f"{name}-eps-{x}")
+     for name, f in PUMP_EVALUATORS.items() for x in (math.nan, math.inf, -1.0)]
+    + [pytest.param(lambda p, s, f=f, r=r, x=x: f(p, s, r * s.eps_th, x), refused("|tau|", abs(x)),
+                    id=f"{name}-tau-{x}")
+       for name, (f, r) in LAGGED.items() for x in (math.nan, math.inf, -math.inf)]
+    + [pytest.param(lambda p, s, kw={**UNITARY_ARGS, name: [x] if name == "t" else x}:
+                    unitary_variance(**kw), refused(name, x), id=f"unitary_variance-{name}-{x}")
+       for name in UNITARY_ARGS for x in (math.nan, math.inf)]
+    + [pytest.param(lambda p, s: MomentSet(n=math.nan, m_aa=0.2, m_a1sq=0.05, m_cross=0.01),
+                    "moments must be finite", id="MomentSet-n-nan"),
+       pytest.param(lambda p, s: MomentSet(n=0.1, m_aa=math.inf, m_a1sq=0.05, m_cross=0.01),
+                    "moments must be finite", id="MomentSet-m_aa-inf")])
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_negative_and_non_finite_inputs_refused(standard, call, message):
+    """A negative or non-finite pump, lag, rate, time or moment raises a named error.
+
+    None of them may come back as NaN, a numpy ``LinAlgError``, a ``RuntimeWarning``
+    or a :class:`RegimeError`: the value is out of every regime's domain.
+    """
+    with pytest.raises(ParameterDomainError, match=re.escape(message)):
+        call(*standard)
