@@ -3,7 +3,6 @@ two-mode squeezing, and a positive-P Monte Carlo cross-check."""
 
 __version__ = "0.1.0"
 
-from .dynamics import adiabatic_pump, drift_field
 from .entanglement import (MomentSet, VarianceReport, VarianceSweep, moments_above,
                            moments_below, optimal_angle_sum, unitary_minimum,
                            unitary_variance, variance_steady, variance_sweep,
@@ -17,17 +16,15 @@ from .fluctuations import (AboveThresholdMatrices, BelowThresholdMatrices,
                            temporal_corr_below)
 from .montecarlo import (EnsembleEstimate, PhaseHistogram, SimConfig,
                          TrajectoryRecord, ensemble_moments, integrate_trajectory,
-                         moment_label, noise_increment, parse_moment_spec,
-                         phase_histogram, sample_ensemble)
+                         moment_label, parse_moment_spec, phase_histogram,
+                         sample_ensemble)
 from .params import (DerivedScales, QuadratureAngles, SystemParams,
                      derive_scales, locking_feasible, wrap_angle)
 from .steady import (CriticalPoints, SteadyStateBranch, critical_points,
-                     drift_residual, output_rates, replace_pump,
+                     drift_field, drift_residual, output_rates, replace_pump,
                      stability_eigenvalues, steady_state)
 
 __all__ = [
-    # dynamics
-    "adiabatic_pump", "drift_field",
     # entanglement
     "MomentSet", "VarianceReport", "VarianceSweep", "moments_above", "moments_below",
     "optimal_angle_sum", "unitary_minimum", "unitary_variance", "variance_steady",
@@ -41,12 +38,13 @@ __all__ = [
     "stationary_covariance_below", "temporal_corr_above", "temporal_corr_below",
     # montecarlo
     "EnsembleEstimate", "PhaseHistogram", "SimConfig", "TrajectoryRecord",
-    "ensemble_moments", "integrate_trajectory", "moment_label", "noise_increment",
-    "parse_moment_spec", "phase_histogram", "sample_ensemble",
+    "ensemble_moments", "integrate_trajectory", "moment_label", "parse_moment_spec",
+    "phase_histogram", "sample_ensemble",
     # params
     "DerivedScales", "QuadratureAngles", "SystemParams", "derive_scales",
     "locking_feasible", "wrap_angle",
     # steady
-    "CriticalPoints", "SteadyStateBranch", "critical_points", "drift_residual",
-    "output_rates", "replace_pump", "stability_eigenvalues", "steady_state",
+    "CriticalPoints", "SteadyStateBranch", "critical_points", "drift_field",
+    "drift_residual", "output_rates", "replace_pump", "stability_eigenvalues",
+    "steady_state",
 ]

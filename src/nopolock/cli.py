@@ -320,45 +320,11 @@ def cmd_figure(ns: argparse.Namespace) -> int:
     if n not in range(1, 6):
         raise ParameterDomainError("figure number must be 1..5")
     outdir = _outdir(ns)
-    written = []
     for fname, extra, columns, rows in _figure_curves(n):
         header = [f"# nopolock {__version__}", f"# command = figure {n}"]
         header += [f"# {k} = {v}" for k, v in extra.items()]
         _write_csv(outdir / fname, header, columns, rows)
-        written.append(outdir / fname)
-    if ns.format == "csv+svg":
-        _render_svg(n, written, outdir / f"fig{n}.svg")
     return 0
-
-
-def _render_svg(n: int, csv_paths: list[Path], out: Path) -> None:
-    """Decorative plot of the curve CSVs; the CSV files are the contract."""
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:
-        raise ParameterDomainError(
-            "svg output needs matplotlib (pip install nopolock[viz])") from exc
-    fig, ax = plt.subplots(figsize=(5, 3.4))
-    for i, path in enumerate(csv_paths, 1):
-        lines = [ln for ln in path.read_text().splitlines()
-                 if ln and not ln.startswith("#")]
-        names = lines[0].split(",")
-        cells = [ln.split(",") for ln in lines[1:]]
-        x = np.array([float(row[0]) for row in cells])
-        for j, col in enumerate(names[1:], 1):
-            if col == "flag":
-                continue
-            y = np.array([float(row[j]) for row in cells])
-            ax.plot(x, y, label=f"curve {i} {col}")
-    ax.set_xlabel("chi*t" if n in (1, 2) else "eps/eps_th")
-    ax.set_ylabel({1: "V", 2: "V", 3: "V", 4: "V+-", 5: "V+ V-"}[n])
-    ax.legend(fontsize=7)
-    fig.tight_layout()
-    fig.savefig(out)
-    plt.close(fig)
-    print(f"wrote {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +375,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="write per-curve CSV data for figures 1..5")
     p.add_argument("n", type=int, help="figure number 1..5")
-    p.add_argument("--format", choices=("csv", "csv+svg"), default="csv")
     p.add_argument("--outdir")
     p.set_defaults(func=cmd_figure)
     return parser

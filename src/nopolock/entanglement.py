@@ -29,7 +29,7 @@ from .errors import ParameterDomainError, RegimeError, SingularParameterError
 from .fluctuations import (_require_symmetric, above_matrices, equal_time_corr_below,
                            equal_time_corr_below_stack, near_threshold)
 from .params import DerivedScales, QuadratureAngles, SystemParams, wrap_angle
-from .steady import _checked, _locked_family, steady_state
+from .steady import _checked, _locked_family
 
 FLAG_OK = "ok"
 FLAG_NEAR_THRESHOLD = "linearization-unreliable"
@@ -166,7 +166,6 @@ def moments_above(params: SystemParams, scales: DerivedScales,
     dphi)``; the mean-field contribution is excluded.
     """
     mats = above_matrices(params, scales, eps)
-    state = steady_state(params, scales, eps, branch="+")
     n0 = mats.n0
     Np, Kp, Pp = mats.C_plus[0, 0], mats.C_plus[0, 1], mats.C_plus[1, 1]
     Nm, Km, Pm = mats.C_minus[0, 0], mats.C_minus[0, 1], mats.C_minus[1, 1]
@@ -176,7 +175,7 @@ def moments_above(params: SystemParams, scales: DerivedScales,
     m_sq = ((Np + Nm) / (16 * n0) - n0 * (Pp + Pm) / 4 + 1j * (Kp + Km) / 4)
     m_x = (Np - Nm) / (16 * n0) + n0 * (Pp - Pm) / 4
 
-    phase_sum, phase_diff = state.phase_sum, state.phase_diff
+    phase_sum, phase_diff = mats.phase_sum, mats.phase_diff
     return MomentSet(
         n=n_c,
         m_aa=cmath.exp(1j * phase_sum) * m_aa,
@@ -354,6 +353,8 @@ def unitary_minimum(chi: float, eps: float) -> tuple[float, float]:
 
 def unitary_period(chi: float, eps: float) -> float:
     """Period of ``V(t)`` in the oscillatory regime ``eps < chi``."""
+    _checked("chi", chi)
+    _checked("eps", eps)
     if eps >= chi:
         raise RegimeError("the variance is periodic only for eps < chi")
     return math.pi / math.sqrt(chi**2 - eps**2)

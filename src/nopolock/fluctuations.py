@@ -226,7 +226,8 @@ class AboveThresholdMatrices:
     and ``D_minus`` are reconstructed from the linearized dynamics (the
     difference-pair diffusion is fixed by ``D = 2 F C``) and satisfy
     ``D_minus == -D_plus``.  Cross-correlations between the (+) and (-)
-    pairs vanish identically.
+    pairs vanish identically.  ``n0``, ``phase_sum`` and ``phase_diff`` are
+    the photon number and locked phases of the steady state linearized about.
     """
 
     F_plus: np.ndarray
@@ -236,6 +237,8 @@ class AboveThresholdMatrices:
     C_plus: np.ndarray
     C_minus: np.ndarray
     n0: float
+    phase_sum: float
+    phase_diff: float
     near_threshold: bool
 
 
@@ -279,7 +282,8 @@ def above_matrices(params: SystemParams, scales: DerivedScales,
 
     return AboveThresholdMatrices(
         F_plus=F_plus, F_minus=F_minus, D_plus=D_plus, D_minus=D_minus,
-        C_plus=C_plus, C_minus=C_minus, n0=n0, near_threshold=near_threshold(scales, eps))
+        C_plus=C_plus, C_minus=C_minus, n0=n0, phase_sum=state.phase_sum,
+        phase_diff=state.phase_diff, near_threshold=near_threshold(scales, eps))
 
 
 def temporal_corr_above(params: SystemParams, scales: DerivedScales,

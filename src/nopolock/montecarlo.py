@@ -13,8 +13,8 @@ fused step (``c dt`` and ``cb dt`` formed once, ``dt`` folded into the
 coefficients, preallocated buffers, the ``alive`` mask applied only after a
 first divergence, the divergence test on every step) and feeds accumulators:
 moment sums and phase histograms for :func:`sample_ensemble`, or the
-recorder of :func:`integrate_trajectory`.  ``dynamics.drift_field`` and
-:func:`noise_increment` are the reference definitions of the step.  Noise
+recorder of :func:`integrate_trajectory`.  The step's deterministic part
+is :func:`nopolock.steady.drift_field`, written out in place.  Noise
 is drawn in blocks of up to :data:`NOISE_BLOCK_STEPS` steps.  When
 :func:`sample_ensemble` finds a CPU that its job processes leave spare, a
 job at least :data:`DRAW_AHEAD_MIN_WIDTH` lanes wide draws the next block on a
@@ -163,31 +163,6 @@ def moment_label(spec: tuple[int, int, int, int]) -> str:
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(chunk_index)])
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def noise_increment(state: np.ndarray, params: SystemParams, scales: DerivedScales,
-                    dt: float, rng: np.random.Generator) -> np.ndarray:
-    """One Euler step's stochastic increment for ``(alpha1, alpha2, beta1, beta2)``.
-
-    Sample statistics realize ``<dW1 dW2> = (eps - lam*alpha1*alpha2) dt``
-    and ``<dW1+ dW2+> = (eps - lam*beta1*beta2) dt`` with all other second
-    moments zero; a complex correlator coefficient is legitimate here.
-    """
-    if dt <= 0:
-        raise ParameterDomainError("dt must be positive")
-    a1, a2, b1, b2 = np.asarray(state, dtype=complex)
-    c = scales.eps - scales.lam * a1 * a2
-    cb = scales.eps - scales.lam * b1 * b2
-    xi = rng.standard_normal((4,) + np.shape(a1))
-    sc = np.sqrt(np.asarray(c / 2, dtype=complex))
-    scb = np.sqrt(np.asarray(cb / 2, dtype=complex))
-    inc = np.stack([
-        sc * (xi[0] + 1j * xi[1]),
-        sc * (xi[0] - 1j * xi[1]),
-        scb * (xi[2] + 1j * xi[3]),
-        scb * (xi[2] - 1j * xi[3]),
-    ])
-    return inc * math.sqrt(dt)
 
 
 def _noise_blocks(draw, starts, bufs):

@@ -1,5 +1,8 @@
 """Noise-free steady states of the locked oscillator and their stability.
 
+Steady states are the zeros of :func:`drift_field`, the deterministic part of
+the pump-eliminated equations; :func:`drift_jacobian` gives their stability.
+
 Above a critical pump the zero solution gives way to bright, phase-locked
 solutions.  Two families exist, labelled "+" and "-" after their critical
 pumps ``eps_cr_plus <= eps_cr_minus``.  The "+" family turns on at the
@@ -18,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import drift_field, drift_jacobian
 from .errors import NotSteadyStateError, ParameterDomainError, RegimeError
 from .params import (DerivedScales, SystemParams, _critical_eps_squared, _locking_sides,
                      locking_feasible, wrap_angle)
@@ -46,6 +48,59 @@ def _checked(name: str, values, edge: float = math.inf, below: bool = True) -> n
                 "evaluator")
         raise RegimeError(f"{name} = {values[wrong][0]:.6g} " + side.format(edge))
     return values
+
+
+def drift_field(state: np.ndarray, params: SystemParams, scales: DerivedScales) -> np.ndarray:
+    """Deterministic time derivative of ``(alpha1, alpha2, beta1, beta2)``.
+
+    The betas are independent partners of the alphas in doubled phase space; on
+    ``beta = conj(alpha)`` the flow is the mean-field one, and the Monte Carlo adds
+    the noise.  ``state`` may be ``(4,)`` or a batch ``(4, n)``, and ``scales.eps``
+    may hold one pump rate per state.
+    """
+    a1, a2, b1, b2 = np.asarray(state, dtype=complex)
+    g1, g2 = params.gamma1, params.gamma2
+    d1, d2 = params.delta1, params.delta2
+    chi = params.chi
+    eps, lam = scales.eps, scales.lam
+    c = eps - lam * a1 * a2
+    cb = eps - lam * b1 * b2
+    return np.stack([
+        -(g1 + 1j * d1) * a1 + c * b2 - 1j * chi * a2,
+        -(g2 + 1j * d2) * a2 + c * b1 - 1j * chi * a1,
+        -(g1 - 1j * d1) * b1 + cb * a2 + 1j * chi * b2,
+        -(g2 - 1j * d2) * b2 + cb * a1 + 1j * chi * b1,
+    ])
+
+
+def drift_jacobian(state: np.ndarray, params: SystemParams, scales: DerivedScales) -> np.ndarray:
+    """Exact Jacobian of :func:`drift_field`, shape ``state.shape[1:] + (4, 4)``.
+
+    The drift is polynomial in the four complex variables, so the Jacobian
+    is analytic; no finite differencing is needed.  A single state gives
+    one 4x4 matrix, a batch ``(4, n)`` a stack ``(n, 4, 4)``.
+    """
+    a1, a2, b1, b2 = np.asarray(state, dtype=complex)
+    g1, g2 = params.gamma1, params.gamma2
+    d1, d2 = params.delta1, params.delta2
+    chi = params.chi
+    eps, lam = scales.eps, scales.lam
+    c = eps - lam * a1 * a2
+    cb = eps - lam * b1 * b2
+    jac = np.zeros(np.shape(c) + (4, 4), dtype=complex)
+    jac[..., 0, 0] = -(g1 + 1j * d1) - lam * a2 * b2
+    jac[..., 0, 1] = -lam * a1 * b2 - 1j * chi
+    jac[..., 0, 3] = c
+    jac[..., 1, 0] = -lam * a2 * b1 - 1j * chi
+    jac[..., 1, 1] = -(g2 + 1j * d2) - lam * a1 * b1
+    jac[..., 1, 2] = c
+    jac[..., 2, 1] = cb
+    jac[..., 2, 2] = -(g1 - 1j * d1) - lam * a2 * b2
+    jac[..., 2, 3] = -lam * a2 * b1 + 1j * chi
+    jac[..., 3, 0] = cb
+    jac[..., 3, 2] = -lam * a1 * b2 + 1j * chi
+    jac[..., 3, 3] = -(g2 - 1j * d2) - lam * a1 * b1
+    return jac
 
 
 @dataclass(frozen=True)

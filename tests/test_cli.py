@@ -316,17 +316,13 @@ class TestFigureCommand:
     def test_bad_figure_number(self, capsys):
         assert main(["figure", "7"]) == 2
 
-    def test_svg_output(self, tmp_path):
-        pytest.importorskip("matplotlib")
-        assert main(["figure", "1", "--format", "csv+svg",
-                     "--outdir", str(tmp_path)]) == 0
-        assert (tmp_path / "fig1.svg").exists()
-
-    def test_svg_without_matplotlib_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(sys.modules, "matplotlib", None)  # makes the import fail
-        assert main(["figure", "1", "--format", "csv+svg", "--outdir", str(tmp_path)]) == 2
-        assert "svg output needs matplotlib" in capsys.readouterr().err
-        assert not (tmp_path / "fig1.svg").exists()
+    def test_svg_format_refused(self, tmp_path, capsys):
+        # figures are CSV only: the former svg format is an unknown option to argparse
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "1", "--format", "csv+svg", "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestConfigPlumbing:
@@ -492,6 +488,7 @@ sys.modules.update(dict.fromkeys(json.loads(sys.argv[2])))  # importing these ra
 import nopolock
 from nopolock import cli
 built_at_import = cli._parser is not None
+own = sorted(m for m in sys.modules if m.startswith("nopolock."))
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 params = nopolock.SystemParams.symmetric(gamma=1.0, delta=3.0, chi=0.5, eps=0.0, lam=1.0)
 scales = nopolock.derive_scales(params)
@@ -499,8 +496,12 @@ for ratio, corr in ((0.5, nopolock.temporal_corr_below), (1.5, nopolock.temporal
     corr(*nopolock.replace_pump(params, scales, ratio * scales.eps_th), ratio * scales.eps_th, 0.7)
 loaded = [m for m, module in sys.modules.items()
           if module and m.split(".")[0] in ("scipy", "multiprocessing")]
-print(json.dumps([codes, built_at_import, sorted(loaded)]))
+print(json.dumps([codes, built_at_import, sorted(loaded), own]))
 """
+
+#: every nopolock module on the CLI's import path
+CLI_IMPORTS = ["cli", "entanglement", "errors", "fluctuations", "montecarlo", "params",
+               "steady"]
 
 #: one run of each subcommand, small enough for a unit test
 RUNS = [["figure", "3"],
@@ -522,10 +523,12 @@ def test_cli_runs_load_neither_scipy_nor_multiprocessing(tmp_path):
                                json.dumps(blocked)], cwd=tmp_path,
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        codes, built_at_import, loaded = json.loads(done.stdout.splitlines()[-1])
+        codes, built_at_import, loaded, own = json.loads(done.stdout.splitlines()[-1])
         assert codes == [0, 0, 0, 0]
         assert not built_at_import
         assert loaded == []
+        # the modules ``import nopolock.cli`` pays for, no more
+        assert own == [f"nopolock.{m}" for m in CLI_IMPORTS]
 
 
 def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):

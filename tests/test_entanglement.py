@@ -17,7 +17,7 @@ from nopolock import (MomentSet, NotSteadyStateError, ParameterDomainError,
                       temporal_corr_below, unitary_minimum,
                       unitary_variance, variance_steady, variance_sweep,
                       variances_from_moments, wrap_angle)
-from nopolock import fluctuations, steady
+from nopolock import entanglement, fluctuations, steady
 from nopolock.entanglement import unitary_period
 from nopolock.steady import steady_state
 
@@ -228,6 +228,22 @@ class TestVarianceAbove:
                 assert rep.V == pytest.approx(closed.V, abs=1e-10)
                 assert rep.V_plus == pytest.approx(closed.V_plus, abs=1e-10)
                 assert rep.V_minus == pytest.approx(closed.V_minus, abs=1e-10)
+
+    def test_moments_solve_the_locked_state_once(self, standard, monkeypatch):
+        # the phases come with the fluctuation matrices, not from a second solve
+        params, scales, eps = at_ratio(*standard, 1.5)
+        expected = moments_above(params, scales, eps)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return steady_state(*args, **kwargs)
+
+        for module in (entanglement, fluctuations):
+            if hasattr(module, "steady_state"):
+                monkeypatch.setattr(module, "steady_state", counted)
+        assert moments_above(params, scales, eps) == expected
+        assert len(calls) == 1
 
     def test_regime_and_singular_errors(self, standard):
         params, scales = standard
@@ -646,6 +662,13 @@ REFUSALS = (
     + [pytest.param(lambda p, s, kw={**UNITARY_ARGS, name: [x] if name == "t" else x}:
                     unitary_variance(**kw), refused(name, x), id=f"unitary_variance-{name}-{x}")
        for name in UNITARY_ARGS for x in (math.nan, math.inf)]
+    + [pytest.param(lambda p, s, chi=chi, eps=eps: unitary_period(chi, eps), refused(*bad),
+                    id=f"unitary_period-{chi}-{eps}")
+       for chi, eps, bad in ((math.nan, 1.0, ("chi", math.nan)),
+                             (1.0, math.nan, ("eps", math.nan)),
+                             (math.inf, 1.0, ("chi", math.inf)),
+                             (1.0, -0.5, ("eps", -0.5)),
+                             (-1.0, -2.0, ("chi", -1.0)))]
     + [pytest.param(lambda p, s: MomentSet(n=math.nan, m_aa=0.2, m_a1sq=0.05, m_cross=0.01),
                     "moments must be finite", id="MomentSet-n-nan"),
        pytest.param(lambda p, s: MomentSet(n=0.1, m_aa=math.inf, m_a1sq=0.05, m_cross=0.01),

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from nopolock import (EstimationError, ParameterDomainError, PhaseHistogram,
-                      SimConfig, adiabatic_pump, drift_field, ensemble_moments,
-                      integrate_trajectory, mean_photon_below, moment_label,
-                      noise_increment, parse_moment_spec, phase_histogram,
-                      sample_ensemble, steady_state)
+                      SimConfig, drift_field, ensemble_moments, integrate_trajectory,
+                      mean_photon_below, moment_label, parse_moment_spec,
+                      phase_histogram, sample_ensemble, steady_state)
 from nopolock.fluctuations import above_matrices
 from nopolock.entanglement import moments_below
 from nopolock import montecarlo
@@ -21,6 +20,7 @@ from nopolock.montecarlo import _chunk_rng, _integrate
 
 from conftest import at_ratio, make_system
 from _fock import FockSteadyState
+from _reference import adiabatic_pump, noise_increment
 
 
 class TestDrift:

@@ -9,9 +9,8 @@ from nopolock import (NotSteadyStateError, ParameterDomainError, SystemParams,
                       critical_points, derive_scales, drift_residual,
                       output_rates, stability_eigenvalues, steady_state)
 from nopolock.cli import fmt, main
-from nopolock.dynamics import drift_field, drift_jacobian
 from nopolock.params import locking_feasible
-from nopolock.steady import STABILITY_RTOL
+from nopolock.steady import STABILITY_RTOL, drift_field, drift_jacobian
 
 from conftest import assert_close, at_ratio, make_system
 
