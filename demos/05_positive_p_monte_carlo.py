@@ -10,7 +10,7 @@ Takes about half a minute.
 """
 
 from nopolock import (SimConfig, SystemParams, derive_scales, ensemble_moments,
-                      mean_photon_below, phase_histogram, replace_pump)
+                      mean_photon_below, replace_pump, sample_ensemble)
 
 params = SystemParams.symmetric(gamma=1.0, delta=3.0, chi=0.5, lam=0.05)
 scales = derive_scales(params)
@@ -37,7 +37,7 @@ bscales = derive_scales(bright)
 eps = 1.5 * bscales.eps_th
 p, s = replace_pump(bright, bscales, eps)
 config = SimConfig(dt=1e-3, t_max=18.0, n_traj=256, burn_in=10.0, seed=2)
-hist = phase_histogram(p, s, config, n_workers=2)
+hist = sample_ensemble(p, s, config, [], n_workers=2, phases=True)[1]
 print(f"  phase-difference mass within 0.3 rad of 0 (mod pi): "
       f"{hist.locked_fraction():.1%}")
 peak = hist.counts_diff.argmax()

@@ -14,10 +14,8 @@ from .fluctuations import (AboveThresholdMatrices, BelowThresholdMatrices,
                            equal_time_corr_below, mean_photon_below,
                            stationary_covariance_below, temporal_corr_above,
                            temporal_corr_below)
-from .montecarlo import (EnsembleEstimate, PhaseHistogram, SimConfig,
-                         TrajectoryRecord, ensemble_moments, integrate_trajectory,
-                         moment_label, parse_moment_spec, phase_histogram,
-                         sample_ensemble)
+from .montecarlo import (EnsembleEstimate, PhaseHistogram, SimConfig, ensemble_moments,
+                         moment_label, parse_moment_spec, sample_ensemble)
 from .params import (DerivedScales, QuadratureAngles, SystemParams,
                      derive_scales, locking_feasible, wrap_angle)
 from .steady import (CriticalPoints, SteadyStateBranch, critical_points,
@@ -37,9 +35,8 @@ __all__ = [
     "below_matrices", "equal_time_corr_below", "mean_photon_below",
     "stationary_covariance_below", "temporal_corr_above", "temporal_corr_below",
     # montecarlo
-    "EnsembleEstimate", "PhaseHistogram", "SimConfig", "TrajectoryRecord",
-    "ensemble_moments", "integrate_trajectory", "moment_label", "parse_moment_spec",
-    "phase_histogram", "sample_ensemble",
+    "EnsembleEstimate", "PhaseHistogram", "SimConfig", "ensemble_moments",
+    "moment_label", "parse_moment_spec", "sample_ensemble",
     # params
     "DerivedScales", "QuadratureAngles", "SystemParams", "derive_scales",
     "locking_feasible", "wrap_angle",

@@ -11,16 +11,16 @@ and counted; estimates abort beyond :data:`MAX_DISCARD_FRACTION`.
 Engine: one loop, :func:`_integrate`, advances a ``(4, W)`` array with a
 fused step (``c dt`` and ``cb dt`` formed once, ``dt`` folded into the
 coefficients, preallocated buffers, the ``alive`` mask applied only after a
-first divergence, the divergence test on every step) and feeds accumulators:
-moment sums and phase histograms for :func:`sample_ensemble`, or the
-recorder of :func:`integrate_trajectory`.  The step's deterministic part
-is :func:`nopolock.steady.drift_field`, written out in place.  Noise
-is drawn in blocks of up to :data:`NOISE_BLOCK_STEPS` steps.  When
-:func:`sample_ensemble` finds a CPU that its job processes leave spare, a
-job at least :data:`DRAW_AHEAD_MIN_WIDTH` lanes wide draws the next block on a
-one-thread ``ThreadPoolExecutor`` during the current block's steps (numpy's Philox
-fill runs without the GIL).  The helper makes the same calls in the same order, so
-no bit changes; it is joined before :func:`_integrate` returns or raises.
+first divergence, the divergence test on every step) and feeds the moment
+sums and phase histograms of :func:`sample_ensemble`.  The step's
+deterministic part is :func:`nopolock.steady.drift_field`, written out in
+place.  Noise is drawn in blocks of :data:`NOISE_BLOCK_STEPS` steps, whatever
+the sampling interval.  When :func:`sample_ensemble` finds a CPU that its job
+processes leave spare, a job at least :data:`DRAW_AHEAD_MIN_WIDTH` lanes wide
+draws the next block on a one-thread ``ThreadPoolExecutor`` during the current
+block's steps (numpy's Philox fill runs without the GIL).  The helper makes the
+same calls in the same order, so no bit changes; it is joined before
+:func:`_integrate` returns or raises.
 
 Lanes and determinism: trajectory ``i`` is in chunk ``i // chunk_size``, and
 chunk ``j`` draws one ``(4, width_j)`` normal array per step from the Philox
@@ -111,15 +111,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    """Sampled history of a single trajectory."""
-
-    times: np.ndarray
-    states: np.ndarray  # (n_samples, 4) complex
-    diverged: bool
-
-
-@dataclass(frozen=True)
 class EnsembleEstimate:
     """Steady-state estimate of one stochastic moment.
 
@@ -205,7 +196,7 @@ def _integrate(params: SystemParams, scales: DerivedScales, config: SimConfig, s
     x = state.reshape(2, 2, width)  # [alpha | beta][mode 1 | mode 2]
     new, term = np.empty_like(x), np.empty_like(x)
     c, s, z, p = (np.empty((2, width), dtype=complex) for _ in range(4))
-    steps = min(config.sample_every, NOISE_BLOCK_STEPS)
+    steps = NOISE_BLOCK_STEPS
     alive, frozen = np.ones(width, dtype=bool), None
     screen = 0.5 * config.divergence_bound  # parts within it keep every modulus in bound
 
@@ -353,11 +344,14 @@ def sample_ensemble(params: SystemParams, scales: DerivedScales, config: SimConf
     Specs are exponent tuples over ``(alpha1, alpha2, beta1, beta2)`` or
     aliases from :data:`MOMENT_ALIASES`; averages run over sample times
     after ``burn_in`` and never-diverged trajectories.  Raises
-    ``ParameterDomainError`` for ``n_workers < 1``, and ``EstimationError``
+    ``ParameterDomainError`` for ``n_workers < 1`` or for a request of
+    neither moments nor phases, and ``EstimationError``
     when all diverged, no sample time remains, or moments are requested and
     the discard fraction exceeds :data:`MAX_DISCARD_FRACTION`.
     """
     specs = [parse_moment_spec(s) for s in moment_specs]
+    if not (specs or phases):
+        raise ParameterDomainError("nothing to estimate: give a moment or ask for phases")
     if not isinstance(n_workers, (int, np.integer)) or n_workers < 1:
         raise ParameterDomainError(f"n_workers must be an integer >= 1, got {n_workers!r}")
     first = int(math.ceil(config.burn_in / config.dt)) // config.sample_every + 1
@@ -406,26 +400,3 @@ def ensemble_moments(params: SystemParams, scales: DerivedScales, config: SimCon
                      moment_specs, n_workers: int = 1) -> list[EnsembleEstimate]:
     """Steady-state moment estimates: the moment half of :func:`sample_ensemble`."""
     return sample_ensemble(params, scales, config, moment_specs, n_workers)[0]
-
-
-def phase_histogram(params: SystemParams, scales: DerivedScales, config: SimConfig,
-                    n_workers: int = 1) -> PhaseHistogram:
-    """Phase histograms: the histogram half of :func:`sample_ensemble` (no discard limit)."""
-    return sample_ensemble(params, scales, config, [], n_workers, phases=True)[1]
-
-
-def integrate_trajectory(params: SystemParams, scales: DerivedScales, config: SimConfig,
-                         x0: np.ndarray | None = None) -> TrajectoryRecord:
-    """Integrate a single trajectory, recording every ``sample_every`` steps.
-
-    Divergence freezes the state and marks the record; it is data, not an
-    error.  The noise is the stream of trajectory index 0.
-    """
-    state = np.zeros((4, 1), complex) if x0 is None else np.array(x0, complex).reshape(4, 1)
-    record_at = [k for k in range(1, config.n_steps + 1)
-                 if k % config.sample_every == 0 or k == config.n_steps]
-    states = [state[:, 0].copy()]
-    alive = _integrate(params, scales, config, state, [(_chunk_rng(config.seed, 0), slice(0, 1))],
-                       set(record_at), lambda s, _: states.append(s[:, 0].copy()))
-    return TrajectoryRecord(times=np.array([0, *record_at]) * config.dt,
-                            states=np.array(states), diverged=bool(~alive[0]))

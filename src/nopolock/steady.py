@@ -173,15 +173,6 @@ def critical_points(params: SystemParams, scales: DerivedScales) -> CriticalPoin
     return CriticalPoints(eps_cr_plus=math.sqrt(lo_sq), eps_cr_minus=math.sqrt(hi_sq))
 
 
-def _zero_branch(branch: str, ev: np.ndarray, stable: bool,
-                 below_critical: bool) -> SteadyStateBranch:
-    return SteadyStateBranch(branch=branch, n10=0.0, n20=0.0,
-                             phi10=math.nan, phi20=math.nan,
-                             phase_sum=math.nan, phase_diff=math.nan,
-                             stable=stable, eigenvalues=tuple(ev),
-                             below_critical=below_critical)
-
-
 def steady_state(params: SystemParams, scales: DerivedScales, eps: float,
                  branch: str = "+") -> SteadyStateBranch:
     """Solve the noise-free steady state at pump ``eps`` on one family.
@@ -193,28 +184,16 @@ def steady_state(params: SystemParams, scales: DerivedScales, eps: float,
     """
     if branch not in ("+", "-"):
         raise ParameterDomainError(f"unknown branch {branch!r}")
-    _checked("eps", eps)
-    if scales.lam <= 0:
-        raise ParameterDomainError("effective nonlinearity lam must be positive (k > 0)")
-
-    if eps == 0.0 or not locking_feasible(params):
-        if eps > scales.eps_th and not locking_feasible(params):
-            # fall through to the named-inequality error
-            critical_points(params, scales)
-        ev, stable = stability_eigenvalues(params, scales, eps, np.zeros(4, complex))
-        return _zero_branch(branch, ev, stable, below_critical=eps > 0)
-
     phase_sum, phase_diff, lit, n10, n20, ev, stable = _locked_family(
-        params, scales, np.array([eps], dtype=float), branch)
-    if not lit[0]:
-        return _zero_branch(branch, ev[0], bool(stable[0]), below_critical=True)
-    phase_sum = float(phase_sum[0])
+        params, scales, np.atleast_1d(_checked("eps", eps)), branch)
+    # a dark pump carries the zero solution, whose phases are undefined (NaN)
+    phase_sum, phase_diff = float(phase_sum[0]), phase_diff if lit[0] else math.nan
     return SteadyStateBranch(
         branch=branch, n10=float(n10[0]), n20=float(n20[0]),
         phi10=wrap_angle((phase_sum - phase_diff) / 2),
         phi20=wrap_angle((phase_sum + phase_diff) / 2),
         phase_sum=phase_sum, phase_diff=wrap_angle(phase_diff),
-        stable=bool(stable[0]), eigenvalues=tuple(ev[0]))
+        stable=bool(stable[0]), eigenvalues=tuple(ev[0]), below_critical=not lit[0] and eps > 0)
 
 
 def _locked_family(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
@@ -225,14 +204,20 @@ def _locked_family(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
     n20, eigenvalues, stable)``: ``lit`` marks the pumps above the family's
     critical point, where the bright solution exists; elsewhere the photon
     numbers are 0 and ``phase_sum`` is NaN (the zero solution).
-    ``phase_diff`` is the pump-independent unwrapped phase difference.
-    Every state, zero or bright, goes through the drift-residual check and
-    the stability solve of :func:`stability_eigenvalues`, each run once on
-    the whole batch.
+    ``phase_diff`` is the pump-independent unwrapped phase difference, NaN
+    where locking is infeasible: there every pump is dark, or one above
+    threshold raises the :func:`critical_points` error.  Every state, zero
+    or bright, goes through the drift-residual check and the stability
+    solve of :func:`stability_eigenvalues`, each run once on the batch.
     """
     if scales.lam <= 0:
         raise ParameterDomainError("effective nonlinearity lam must be positive (k > 0)")
-    crit = critical_points(params, scales)
+    if not (locking_feasible(params) or (eps > scales.eps_th).any()):
+        # no locked family exists, and no pump needs one: every state is the zero solution
+        dark = np.zeros(eps.shape)
+        ev, stable = _stability(params, scales, eps, np.zeros((4,) + eps.shape, complex))
+        return np.full(eps.shape, np.nan), math.nan, dark > 0, dark, dark, ev, stable
+    crit = critical_points(params, scales)  # refuses infeasible locking, naming the inequality
     eps_cr = crit.eps_cr_plus if label == "+" else crit.eps_cr_minus
 
     g1, g2 = params.gamma1, params.gamma2
@@ -255,10 +240,12 @@ def _locked_family(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
     phase_sum = np.full(eps.shape, np.nan)
     phase_sum[lit] = np.arctan2(-(ds + chi * cos_diff) / e, (gt + lam * m[lit]) / e)
 
-    # dark pumps carry the zero solution: amplitude 0 at an arbitrary finite phase
+    # dark pumps carry the zero solution: a finite stand-in phase keeps NaN out, and
+    # exact zeros keep a signed zero from moving the last bit of their eigenvalues
     sums = np.where(lit, phase_sum, 0.0)
     states = _state_vectors(n10, n20, wrap_angle((sums - phase_diff) / 2),
                             wrap_angle((sums + phase_diff) / 2))
+    states[:, ~lit] = 0
     ev, stable = _stability(params, scales, eps, states)
     return phase_sum, phase_diff, lit, n10, n20, ev, stable
 

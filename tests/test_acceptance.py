@@ -30,7 +30,7 @@ import pytest
 
 from nopolock import (SimConfig, SystemParams, below_matrices, derive_scales,
                       ensemble_moments, equal_time_corr_below,
-                      mean_photon_below, phase_histogram,
+                      mean_photon_below, sample_ensemble,
                       stationary_covariance_below, unitary_minimum,
                       variance_steady)
 from nopolock.cli import main
@@ -256,7 +256,7 @@ def test_criterion_09_phase_locking():
     eps = 1.5 * scales.eps_th
     p, s = replace_pump(params, scales, eps)
     config = SimConfig(dt=1e-3, t_max=25.0, n_traj=1024, burn_in=12.0, seed=404)
-    hist = phase_histogram(p, s, config, n_workers=4)
+    hist = sample_ensemble(p, s, config, [], n_workers=4, phases=True)[1]
     frac = hist.locked_fraction()
     ok = frac >= 0.90
     report(9, ok, f"locked mass within 0.3 rad of 0 (mod pi): {frac:.3f} "

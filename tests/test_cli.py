@@ -260,10 +260,12 @@ class TestMcCommand:
 
     @pytest.mark.parametrize("option, value, message", [
         ("--workers", "0", "n_workers"), ("--workers", "-3", "n_workers"),
-        ("--t-max", "inf", "finite"), ("--dt", "nan", "finite")])
+        ("--t-max", "inf", "finite"), ("--dt", "nan", "finite"),
+        ("--moments", "", "nothing to estimate")])
     def test_bad_settings_exit_code(self, tmp_path, capsys, option, value, message):
         assert main(MC_ARGS + [option, value, "--outdir", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+        assert outputs(tmp_path) == []
 
     def test_estimation_failure_exit_code(self, tmp_path, capsys):
         code = main(["mc", "--chi", "0.5", "--delta", "3", "--lam", "0.05",

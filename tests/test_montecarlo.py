@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from nopolock import (EstimationError, ParameterDomainError, PhaseHistogram,
-                      SimConfig, drift_field, ensemble_moments, integrate_trajectory,
-                      mean_photon_below, moment_label, parse_moment_spec,
-                      phase_histogram, sample_ensemble, steady_state)
+                      SimConfig, drift_field, ensemble_moments, mean_photon_below,
+                      moment_label, parse_moment_spec, sample_ensemble, steady_state)
 from nopolock.fluctuations import above_matrices
 from nopolock.entanglement import moments_below
 from nopolock import montecarlo
@@ -92,19 +91,22 @@ class TestIntegrateTrajectory:
         params, scales = make_system(delta=2.0, chi=0.0, eps=0.0)
         config = SimConfig(dt=1e-3, t_max=1.0, n_traj=2, burn_in=0.0,
                            sample_every=100)
-        x0 = np.array([0.3, 0.0, 0.3, 0.0], complex)
-        rec = integrate_trajectory(params, scales, config, x0=x0)
-        assert not rec.diverged
-        for t, state in zip(rec.times, rec.states):
-            assert abs(state[0]) == pytest.approx(0.3 * math.exp(-t), rel=2e-3)
-        assert np.abs(rec.states[:, 1]).max() == 0.0
+        x0 = np.array([[0.3], [0.0], [0.3], [0.0]], complex)
+        record_at, states = range(100, config.n_steps + 1, config.sample_every), []
+        alive = _integrate(params, scales, config, x0, [(_chunk_rng(config.seed, 0), slice(0, 1))],
+                           set(record_at), lambda x, _: states.append(x[:, 0].copy()))
+        assert alive.all() and len(states) == len(record_at) == 10
+        for k, state in zip(record_at, states):
+            assert abs(state[0]) == pytest.approx(0.3 * math.exp(-k * config.dt), rel=2e-3)
+        assert np.abs(np.array(states)[:, 1]).max() == 0.0
 
     def test_divergence_is_data(self, standard):
         params, scales, _ = at_ratio(*standard, 0.5)
         config = SimConfig(dt=1e-3, t_max=0.5, n_traj=2, burn_in=0.0,
                            divergence_bound=1e-8)
-        rec = integrate_trajectory(params, scales, config)
-        assert rec.diverged
+        alive = _integrate(params, scales, config, np.zeros((4, 1), complex),
+                           [(_chunk_rng(config.seed, 0), slice(0, 1))], set(), None)
+        assert not alive[0]
 
     def test_step_halving_self_convergence(self):
         params, scales = make_system(delta=3.0, chi=0.5, lam=0.05)
@@ -217,7 +219,8 @@ class TestEngine:
         params, scales, _ = at_ratio(*make_system(delta=3.0, chi=0.5, lam=0.05), 0.6)
         config = SimConfig(dt=2e-3, t_max=1.0, n_traj=200, burn_in=0.2, seed=4,
                            chunk_size=37, divergence_bound=1.5)
-        runs = [phase_histogram(params, scales, config, n_workers=w) for w in (1, 2, 3)]
+        runs = [sample_ensemble(params, scales, config, [], n_workers=w, phases=True)[1]
+                for w in (1, 2, 3)]
         assert 0 < runs[0].discard_fraction < 1
         for other in runs[1:]:
             for field in dataclasses.fields(PhaseHistogram):
@@ -262,7 +265,7 @@ class TestEngine:
         estimates, hist = sample_ensemble(params, scales, config, specs, n_workers=2,
                                           phases=True)
         assert estimates == ensemble_moments(params, scales, config, specs, n_workers=2)
-        separate = phase_histogram(params, scales, config, n_workers=2)
+        separate = sample_ensemble(params, scales, config, [], n_workers=2, phases=True)[1]
         for field in dataclasses.fields(PhaseHistogram):
             np.testing.assert_array_equal(getattr(hist, field.name),
                                           getattr(separate, field.name))
@@ -294,6 +297,11 @@ class TestEngine:
         assert widths == [56, 48, 48, 48]
         assert max(widths) <= montecarlo.MAX_CHUNKS_PER_JOB * config.chunk_size
         assert max(blocks) == montecarlo.NOISE_BLOCK_STEPS < config.sample_every
+        # the block does not follow a shorter sampling interval either
+        blocks.clear()
+        config = dataclasses.replace(config, sample_every=2)
+        ensemble_moments(params, scales, config, ["n1"], n_workers=1)
+        assert max(blocks) == montecarlo.NOISE_BLOCK_STEPS > config.sample_every
 
     @pytest.mark.parametrize("methods, expected", [
         (["fork", "spawn", "forkserver"], "fork"), (["spawn", "forkserver"], "forkserver"),
@@ -326,7 +334,15 @@ class TestEngine:
         with pytest.raises(ParameterDomainError, match="n_workers"):
             ensemble_moments(params, scales, config, ["n1"], n_workers=workers)
         with pytest.raises(ParameterDomainError, match="n_workers"):
-            phase_histogram(params, scales, config, n_workers=workers)
+            sample_ensemble(params, scales, config, [], n_workers=workers, phases=True)
+
+    def test_empty_request_refused_before_integrating(self, standard, monkeypatch):
+        params, scales = standard
+        config = SimConfig(dt=1e-3, t_max=0.1, n_traj=4, burn_in=0.0)
+        monkeypatch.setattr(montecarlo, "_integrate", None)  # integrating would fail
+        for request in (sample_ensemble, ensemble_moments):
+            with pytest.raises(ParameterDomainError, match="nothing to estimate"):
+                request(params, scales, config, [])
 
 
 class RecordingStream:
@@ -661,7 +677,7 @@ class TestPhaseHistogram:
         from nopolock.steady import replace_pump
         p, s = replace_pump(params, scales, eps)
         config = SimConfig(dt=1e-3, t_max=18.0, n_traj=256, burn_in=10.0, seed=13)
-        hist = phase_histogram(p, s, config, n_workers=2)
+        hist = sample_ensemble(p, s, config, [], n_workers=2, phases=True)[1]
         assert hist.note == ""
         assert hist.locked_fraction() > 0.9
 
@@ -674,7 +690,7 @@ class TestPhaseHistogram:
         from nopolock.steady import replace_pump
         p, s = replace_pump(params, scales, eps)
         config = SimConfig(dt=1e-3, t_max=30.0, n_traj=256, burn_in=10.0, seed=29)
-        hist = phase_histogram(p, s, config, n_workers=2)
+        hist = sample_ensemble(p, s, config, [], n_workers=2, phases=True)[1]
         centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
         locked = steady_state(p, s, eps, "+")
         width = 0.45
@@ -702,7 +718,7 @@ class TestPhaseHistogram:
         from nopolock.steady import replace_pump
         p, s = replace_pump(params, scales, eps)
         config = SimConfig(dt=1e-3, t_max=3.0, n_traj=64, burn_in=1.0, seed=2)
-        hist = phase_histogram(p, s, config)
+        hist = sample_ensemble(p, s, config, [], phases=True)[1]
         assert "undefined" in hist.note
         assert hist.n_samples > 0
 
@@ -731,7 +747,8 @@ class TestEstimationFailure:
         with pytest.raises(EstimationError, match=r"discard fraction 0\.1500 exceeds"):
             sample_ensemble(params, scales, config, ["n1"])
         # phase histograms alone have no discard limit
-        assert phase_histogram(params, scales, config).discard_fraction == pytest.approx(0.15)
+        _, hist = sample_ensemble(params, scales, config, [], phases=True)
+        assert hist.discard_fraction == pytest.approx(0.15)
 
 
 class TestSpecs:

@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from nopolock import (NotSteadyStateError, ParameterDomainError, SystemParams,
                       critical_points, derive_scales, drift_residual,
-                      output_rates, stability_eigenvalues, steady_state)
+                      output_rates, replace_pump, stability_eigenvalues, steady_state)
 from nopolock.cli import fmt, main
 from nopolock.params import locking_feasible
 from nopolock.steady import STABILITY_RTOL, drift_field, drift_jacobian
@@ -186,6 +186,24 @@ class TestSteadyState:
 
 
 class TestStability:
+    @pytest.mark.parametrize("delta", [3.0, -3.0, 1.0])
+    @pytest.mark.parametrize("pump, branch", [("zero", "+"), ("zero", "-"),
+                                              ("dark", "+"), ("dark", "-")])
+    def test_zero_branch_spectrum_is_that_of_the_zero_state(self, delta, pump, branch):
+        # every dark steady state comes out of the batched family solve; its
+        # spectrum must be bit for bit the one of the exact zero state.  A dark
+        # "-" pump lies between the two critical points.
+        params, scales = make_system(delta=delta)
+        crit = critical_points(params, scales)
+        eps = (0.0 if pump == "zero" else 0.5 * scales.eps_th if branch == "+"
+               else 0.5 * (crit.eps_cr_plus + crit.eps_cr_minus))
+        params, scales = replace_pump(params, scales, eps)
+        st = steady_state(params, scales, eps, branch=branch)
+        ev, stable = stability_eigenvalues(params, scales, eps, np.zeros(4, complex))
+        assert st.is_zero
+        assert np.array_equal(st.eigenvalues, ev)
+        assert st.stable == stable
+
     def test_empty_cavity_spectrum(self, standard):
         params, scales = standard
         ev, stable = stability_eigenvalues(params, scales, 0.0, np.zeros(4, complex))
