@@ -275,7 +275,8 @@ def cmd_mc(ns: argparse.Namespace) -> int:
     rows = [",".join([e.label, fmt(e.mean.real), fmt(e.mean.imag), fmt(e.std_error),
                       str(e.n_effective), fmt(e.discard_fraction)]) for e in estimates]
     out = None if ns.output == "-" else _outdir(ns) / (ns.output or "mc.csv")
-    _write_csv(out, header, columns, rows)
+    if estimates:  # a histogram-only request writes the phase table alone
+        _write_csv(out, header, columns, rows)
 
     if hist is not None:
         rows = [f"{fmt(lo)},{fmt(hi)},{cd},{cs}"

@@ -184,8 +184,9 @@ def steady_state(params: SystemParams, scales: DerivedScales, eps: float,
     """
     if branch not in ("+", "-"):
         raise ParameterDomainError(f"unknown branch {branch!r}")
-    phase_sum, phase_diff, lit, n10, n20, ev, stable = _locked_family(
-        params, scales, np.atleast_1d(_checked("eps", eps)), branch)
+    pumps = np.atleast_1d(_checked("eps", eps))
+    phase_sum, phase_diff, lit, n10, n20, states = _locked_family(params, scales, pumps, branch)
+    ev, stable = _eigen_solve(params, scales, pumps, states)
     # a dark pump carries the zero solution, whose phases are undefined (NaN)
     phase_sum, phase_diff = float(phase_sum[0]), phase_diff if lit[0] else math.nan
     return SteadyStateBranch(
@@ -201,22 +202,22 @@ def _locked_family(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
     """Closed-form steady states of family ``label`` at every pump of ``eps``.
 
     ``eps`` is a 1-D array.  Returns ``(phase_sum, phase_diff, lit, n10,
-    n20, eigenvalues, stable)``: ``lit`` marks the pumps above the family's
-    critical point, where the bright solution exists; elsewhere the photon
-    numbers are 0 and ``phase_sum`` is NaN (the zero solution).
-    ``phase_diff`` is the pump-independent unwrapped phase difference, NaN
-    where locking is infeasible: there every pump is dark, or one above
-    threshold raises the :func:`critical_points` error.  Every state, zero
-    or bright, goes through the drift-residual check and the stability
-    solve of :func:`stability_eigenvalues`, each run once on the batch.
+    n20, states)``: ``lit`` marks the pumps above the family's critical
+    point, where the bright solution exists; elsewhere the photon numbers
+    are 0 and ``phase_sum`` is NaN (the zero solution).  ``phase_diff`` is
+    the pump-independent unwrapped phase difference, NaN where locking is
+    infeasible: there every pump is dark, or one above threshold raises the
+    :func:`critical_points` error.  ``states`` ``(4, n)`` are the classical
+    state vectors.  Every state, zero or bright, passes the checks of
+    :func:`_check_states`, run once on the batch; no eigenvalue is solved.
     """
     if scales.lam <= 0:
         raise ParameterDomainError("effective nonlinearity lam must be positive (k > 0)")
     if not (locking_feasible(params) or (eps > scales.eps_th).any()):
         # no locked family exists, and no pump needs one: every state is the zero solution
-        dark = np.zeros(eps.shape)
-        ev, stable = _stability(params, scales, eps, np.zeros((4,) + eps.shape, complex))
-        return np.full(eps.shape, np.nan), math.nan, dark > 0, dark, dark, ev, stable
+        dark, states = np.zeros(eps.shape), np.zeros((4,) + eps.shape, complex)
+        _check_states(params, scales, eps, states)
+        return np.full(eps.shape, np.nan), math.nan, dark > 0, dark, dark, states
     crit = critical_points(params, scales)  # refuses infeasible locking, naming the inequality
     eps_cr = crit.eps_cr_plus if label == "+" else crit.eps_cr_minus
 
@@ -246,8 +247,8 @@ def _locked_family(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
     states = _state_vectors(n10, n20, wrap_angle((sums - phase_diff) / 2),
                             wrap_angle((sums + phase_diff) / 2))
     states[:, ~lit] = 0
-    ev, stable = _stability(params, scales, eps, states)
-    return phase_sum, phase_diff, lit, n10, n20, ev, stable
+    _check_states(params, scales, eps, states)
+    return phase_sum, phase_diff, lit, n10, n20, states
 
 
 def _state_vectors(n10, n20, phi10, phi20) -> np.ndarray:
@@ -263,26 +264,28 @@ def stability_eigenvalues(params: SystemParams, scales: DerivedScales, eps: floa
 
     Returns the eigenvalues of minus the drift Jacobian, sorted by real then
     imaginary part: positive real parts mean decay.  ``stable`` is true when
-    every real part exceeds ``STABILITY_RTOL * min(gamma1, gamma2)``.
+    every real part exceeds ``STABILITY_RTOL * min(gamma1, gamma2)``.  The
+    state is checked (:func:`_check_states`) before it is solved.
 
     Raises
     ------
     NotSteadyStateError
-        When ``state`` is not actually a steady state of the drift.
+        When ``state`` is not finite, or not actually a steady state of the drift.
     ParameterDomainError
         When the betas of ``state`` are not the conjugates of its alphas (1e-12 relative).
     """
-    state = np.asarray(state, dtype=complex)
-    ev, stable = _stability(params, scales, np.array([eps], dtype=float), state[:, None])
+    eps, state = np.array([eps], dtype=float), np.asarray(state, dtype=complex)[:, None]
+    _check_states(params, scales, eps, state)
+    ev, stable = _eigen_solve(params, scales, eps, state)
     return ev[0], bool(stable[0])
 
 
-def _stability(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
-               states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`stability_eigenvalues` of the states ``(4, n)`` at the pumps ``eps``.
+def _check_states(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
+                  states: np.ndarray) -> None:
+    """Refuse the first of the states ``(4, n)`` at the pumps ``eps`` that is not
+    classical (``ParameterDomainError``), or not finite and steady (``NotSteadyStateError``).
 
-    Every check and the eigenvalue solve run once on the whole batch; the
-    first state that fails a check raises.
+    Every check runs once on the whole batch.
     """
     amp = 1.0 + np.abs(states).max(axis=0)
     if (np.abs(states[2:] - states[:2].conj()) > 1e-12 * amp).any():
@@ -293,15 +296,22 @@ def _stability(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
                           abs(params.delta2), params.chi),
                       np.maximum(eps, scales.lam * amp**2))
     bound = 1e-7 * amp * rate
-    bad = resid > bound
+    bad = ~(resid <= bound)  # a NaN residual fails too
     if bad.any():
         i = int(np.argmax(bad))
-        raise NotSteadyStateError(
-            f"state is not steady: drift residual {resid[i]:.3e} "
-            f"exceeds {bound[i]:.3e} at eps = {eps[i]:.6g}")
+        why = (f"drift residual {resid[i]:.3e} exceeds {bound[i]:.3e}" if np.isfinite(amp[i])
+               else f"state {states[:, i]} is not finite")
+        raise NotSteadyStateError(f"state is not steady: {why} at eps = {eps[i]:.6g}")
+
+
+def _eigen_solve(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
+                 states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted eigenvalues of minus the drift Jacobian at the checked states ``(4, n)``,
+    and their verdicts, in one solve of the ``(n, 4, 4)`` stack.
+    """
     # on classical states -J = [[P, Q], [conj Q, conj P]], unitarily similar
     # to the real Jacobian of the flow in quadratures, which LAPACK solves faster
-    M = -drift_jacobian(states, params, eff)
+    M = -drift_jacobian(states, params, replace(scales, eps=eps))
     S, D = M[..., :2, :2] + M[..., :2, 2:], M[..., :2, :2] - M[..., :2, 2:]
     ev = np.linalg.eigvals(np.block([[S.real, -D.imag], [S.imag, D.real]]))
     ev = np.sort(ev.astype(complex), axis=-1)

@@ -258,6 +258,18 @@ class TestMcCommand:
         assert streams == {0: 1, 1: 1, 2: 1, 3: 1}
         assert passes == [4]
 
+    def test_histogram_only_request_writes_the_phase_table_alone(self, tmp_path, capsys):
+        args = ["mc", "--chi", "0.5", "--delta", "3", "--lam", "0.01", "--eps-ratio", "1.5",
+                "--dt", "0.001", "--t-max", "0.2", "--burn-in", "0.1", "--n-traj", "16",
+                "--phases", "--moments", ""]
+        assert main(args + ["--outdir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mc_phases.csv"]
+        capsys.readouterr()
+        assert main(args + ["--output", "-"]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        assert lines[0] == "edge_lo,edge_hi,count_diff,count_sum"
+        assert not any(ln.startswith("observable") for ln in lines)
+
     @pytest.mark.parametrize("option, value, message", [
         ("--workers", "0", "n_workers"), ("--workers", "-3", "n_workers"),
         ("--t-max", "inf", "finite"), ("--dt", "nan", "finite"),

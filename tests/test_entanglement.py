@@ -431,6 +431,8 @@ class TestVarianceSweep:
 
     @pytest.mark.parametrize("index", [0, 200, 398])
     def test_stability_solve_covers_every_point(self, standard, monkeypatch, index):
+        # every pump passes the state checks; the eigenvalue solve runs only
+        # where a caller reads it, so a sweep solves none
         params, scales = standard
         eps = FIGURE_GRID[FIGURE_GRID > 1] * scales.eps_th
         shapes = []
@@ -442,16 +444,20 @@ class TestVarianceSweep:
 
         monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
         variance_sweep(params, scales, eps)
-        assert shapes == [(eps.size, 4, 4)]
+        assert shapes == []
+        state = steady_state(params, scales, eps[index])
+        assert shapes == [(1, 4, 4)]
+        steady.stability_eigenvalues(params, scales, eps[index], state.state_vector())
+        assert shapes == [(1, 4, 4)] * 2
 
-        # a state the residual check cannot judge (NaN) still reaches the
-        # eigenvalue solve, which refuses it
+        # a state the residual cannot bound (NaN) fails the residual check by name
         def poison(states):
             states[:, index] = np.nan
 
         perturb_output(monkeypatch, steady, "_state_vectors", poison)
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(NotSteadyStateError, match="not finite"):
             variance_sweep(params, scales, eps)
+        assert len(shapes) == 2
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(chi=st.floats(0.01, 5.0), abs_delta=st.floats(0.05, 10.0),

@@ -238,6 +238,11 @@ class TestStability:
             stability_eigenvalues(params, scales, 1.0,
                                   np.array([0.5, 0.0, 0.5, 0.0], complex))
 
+    def test_non_finite_state_refused_by_name(self, standard):
+        params, scales = standard
+        with pytest.raises(NotSteadyStateError, match="not finite"):
+            stability_eigenvalues(params, scales, 1.0, np.full(4, np.nan + 0j))
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(symmetric=hst.booleans(), gamma2=hst.floats(0.5, 2.0),
            abs_delta=hst.floats(0.05, 10.0), detuning_ratio=hst.floats(0.5, 2.0),
