@@ -193,10 +193,9 @@ def variance_sweep(params: SystemParams, scales: DerivedScales, eps: np.ndarray 
     below threshold is served by the above-threshold closed forms, which
     are exact at the (continuous) threshold limit.  Each regime is one
     batched pass, and every runtime check of the single-pump evaluators
-    runs on every pump: below threshold the ``D F^T = F D`` identity and the
-    closed forms against ``(1/2) F^-1 D``, above it the classical-state and
-    drift-residual checks of the locked state.  No stability eigenvalue is
-    solved: nothing here reads one.
+    runs on every pump: below threshold the closed forms against ``(1/2)
+    F^-1 D``, above it the classical-state and drift-residual checks of the
+    locked state.  No stability eigenvalue is solved: nothing here reads one.
     """
     if not math.isfinite(delta_theta):
         raise ParameterDomainError(f"delta_theta must be finite, got {delta_theta!r}")

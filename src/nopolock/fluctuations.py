@@ -6,7 +6,8 @@ d_beta2)`` around the zero solution obey a linear Langevin system
     d/dt dx = -F dx + R,   <R(t) R(t')^T> = D delta(t - t'),
 
 whose stationary covariance is ``C = (1/2) F^-1 D`` thanks to the operator
-identity ``D F^T = F D`` satisfied by this model.  Above threshold the
+identity ``D F^T = F D`` satisfied by this model (exactly, in floating point
+too: :func:`_below_matrix_stacks`).  Above threshold the
 number/phase deviations decouple into independent sum (+) and difference
 (-) pairs, each again a 2x2 linear Langevin system; their stationary
 covariances are evaluated from closed forms.  Lagged covariances use a
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, SingularParameterError
-from .params import DerivedScales, SystemParams
-from .steady import _checked, steady_state
+from .params import DerivedScales, SystemParams, wrap_angle
+from .steady import _checked, _locked_family
 
 #: relative half-width of the pump band around threshold inside which the
 #: linearized treatment is flagged unreliable
@@ -73,15 +74,19 @@ class BelowThresholdMatrices:
 def below_matrices(params: SystemParams, scales: DerivedScales,
                    eps: float) -> BelowThresholdMatrices:
     """Linearized drift and diffusion around the zero solution."""
-    F, D = _checked_below_matrices(params, scales, np.array([eps], dtype=float))
-    gamma, delta, chi = params.gamma1, params.delta1, params.chi
+    gamma, delta, chi = _require_symmetric(params)
+    F, D = _below_matrix_stacks(params, _checked("eps", [eps], scales.eps_th))
     return BelowThresholdMatrices(F=F[0], A=F[0, :2, :2], B=F[0, :2, 2:], D=D[0],
                                   s_sq=gamma**2 + chi**2 + delta**2 - eps**2)
 
 
 def _below_matrix_stacks(params: SystemParams,
                          eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drift ``F`` and diffusion ``D`` stacks ``(n, 4, 4)`` at the pumps ``eps``."""
+    """Drift ``F`` and diffusion ``D`` stacks ``(n, 4, 4)`` at the pumps ``eps``.
+
+    Every entry of ``D F^T`` and of ``F D`` is one product of the same two
+    numbers, so ``D F^T = F D`` holds exactly.
+    """
     gamma, delta, chi = params.gamma1, params.delta1, params.chi
     F = np.zeros((eps.size, 4, 4), dtype=complex)
     F[:, :2, :2] = [[gamma + 1j * delta, 1j * chi], [1j * chi, gamma + 1j * delta]]
@@ -93,36 +98,26 @@ def _below_matrix_stacks(params: SystemParams,
     return F, D
 
 
-def _checked_below_matrices(params: SystemParams, scales: DerivedScales,
-                            eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``F``/``D`` stacks at the 1-D pumps ``eps``, domain and identity checked.
-
-    ``D F^T = F D`` is verified at every pump, to 1e-12 of
-    ``max(1, eps * gamma)``; the first violation raises.
-    """
-    gamma, _, _ = _require_symmetric(params)
-    _checked("eps", eps, scales.eps_th)
-    F, D = _below_matrix_stacks(params, eps)
-    ident = np.abs(D @ F.swapaxes(1, 2) - F @ D).max(axis=(1, 2))
-    bad = ident > 1e-12 * np.maximum(1.0, eps * gamma)
-    if bad.any():
-        raise AssertionError(f"drift/diffusion identity violated: {ident[bad][0]:.3e} "
-                             f"at eps = {eps[bad][0]:.6g}")
-    return F, D
-
-
 def _corr_closed_below(params: SystemParams,
                        eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form ``<d_alpha d_alpha^T>``/``<d_alpha d_beta^T>`` stacks ``(n, 2, 2)``."""
+    """Closed-form ``<d_alpha d_alpha^T>``/``<d_alpha d_beta^T>`` stacks ``(n, 2, 2)``.
+
+    ``s2^2 - 4 delta^2 chi^2`` (``s2 = gamma^2 + chi^2 + delta^2 - eps^2``), ``gamma^2 -
+    eps^2`` and ``chi^2 - delta^2`` are formed as products of differences, which
+    do not cancel near ``chi = |delta|`` or near threshold.
+    """
     gamma, delta, chi = params.gamma1, params.delta1, params.chi
-    s2 = gamma**2 + chi**2 + delta**2 - eps**2
-    den = s2**2 - 4 * delta**2 * chi**2
+    ad = abs(delta)
+    g2e, cd = (gamma - eps) * (gamma + eps), (chi - ad) * (chi + ad)
+    lo = g2e + (chi - ad)**2  # the factor of den that vanishes at threshold
+    s2 = lo + 2 * chi * ad
+    den = lo * (g2e + (chi + ad)**2)
     scale_aa, scale_ab = eps / (2 * den), eps**2 / (2 * den)
     corr_aa = np.empty((eps.size, 2, 2), dtype=complex)
     corr_aa[:, 0, 0] = corr_aa[:, 1, 1] = scale_aa * (
-        gamma * (-2 * chi * delta) - 1j * (chi * (s2 - 2 * delta**2)))
+        gamma * (-2 * chi * delta) - 1j * (chi * (g2e + cd)))
     corr_aa[:, 0, 1] = corr_aa[:, 1, 0] = scale_aa * (
-        gamma * s2 - 1j * (delta * (s2 - 2 * chi**2)))
+        gamma * s2 - 1j * (delta * (g2e - cd)))
     corr_ab = np.empty((eps.size, 2, 2), dtype=complex)
     corr_ab[:, 0, 0] = corr_ab[:, 1, 1] = scale_ab * s2
     corr_ab[:, 0, 1] = corr_ab[:, 1, 0] = scale_ab * (-2 * chi * delta)
@@ -141,9 +136,9 @@ def equal_time_corr_below(params: SystemParams, scales: DerivedScales,
     """Stationary ``<d_alpha d_alpha^T>`` and ``<d_alpha d_beta^T>`` blocks.
 
     The closed forms are returned; away from threshold they are checked
-    elementwise (to 1e-12 of their scale) against the generic
-    ``(1/2) F^-1 D`` route, which loses accuracy as ``F`` approaches
-    singularity at threshold.
+    elementwise against the generic ``(1/2) F^-1 D`` route, whose error
+    grows with the condition number of ``F`` as ``F`` approaches
+    singularity at threshold (:func:`equal_time_corr_below_stack`).
     """
     corr_aa, corr_ab = equal_time_corr_below_stack(params, scales,
                                                    np.array([eps], dtype=float))
@@ -154,19 +149,25 @@ def equal_time_corr_below_stack(params: SystemParams, scales: DerivedScales,
                                 eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`equal_time_corr_below` at every pump of the 1-D array ``eps``.
 
-    Returns ``(n, 2, 2)`` stacks.  The checks of the single-pump call run on
-    every pump: the ``D F^T = F D`` identity, and the closed forms against
-    one batched ``(1/2) F^-1 D`` solve wherever ``eps <= 0.999 eps_th``.
+    Returns ``(n, 2, 2)`` stacks.  Wherever ``eps <= 0.999 eps_th`` the closed
+    forms are checked against one batched ``(1/2) F^-1 D`` solve, built at
+    those pumps only, to ``1e-12 max(1, |C|) max(1, kappa / 100)``: ``kappa =
+    max|F| max|C| / max|D/2|`` is a lower bound on the condition number of
+    ``F`` (0 where ``D = 0``, at ``eps = 0``, where ``C = 0``).
     """
-    F, D = _checked_below_matrices(params, scales, eps)  # validates regime
+    _require_symmetric(params)
+    eps = _checked("eps", eps, scales.eps_th)
     corr_aa, corr_ab = _corr_closed_below(params, eps)
     far = eps <= 0.999 * scales.eps_th
     if far.any():
-        C4 = 0.5 * np.linalg.solve(F[far], D[far])
-        scale = np.maximum(1.0, np.abs(C4).max(axis=(1, 2)))
+        F, D = _below_matrix_stacks(params, eps[far])
+        C4 = 0.5 * np.linalg.solve(F, D)
+        c_max, half_d = np.abs(C4).max(axis=(1, 2)), eps[far] / 2  # max|D/2|
+        kappa = np.divide(np.abs(F).max(axis=(1, 2)) * c_max, half_d,
+                          out=np.zeros_like(half_d), where=half_d > 0)
         err = np.maximum(np.abs(C4[:, :2, :2] - corr_aa[far]).max(axis=(1, 2)),
                          np.abs(C4[:, :2, 2:] - corr_ab[far]).max(axis=(1, 2)))
-        bad = err > 1e-12 * scale
+        bad = err > 1e-12 * np.maximum(1.0, c_max) * np.maximum(1.0, kappa / 100)
         if bad.any():
             raise AssertionError(
                 "closed-form and generic equal-time correlators disagree: "
@@ -252,15 +253,15 @@ def above_matrices(params: SystemParams, scales: DerivedScales,
             "delta = 0 is a singular parameter point")
     if chi <= 0:
         raise ParameterDomainError("above-threshold locked fluctuations require chi > 0")
-    _checked("eps", eps, np.nextafter(scales.eps_th, math.inf), below=False)
-
-    state = steady_state(params, scales, eps, branch="+")
-    n0 = state.n10
+    pumps = _checked("eps", [eps], np.nextafter(scales.eps_th, math.inf), below=False)
+    # the stable locked state, as steady_state gives it, without its eigenvalues
+    phase_sum, phase_diff, _, n10, *_ = _locked_family(params, scales, pumps, "+")
+    n0, phase_sum, phase_diff = float(n10[0]), float(phase_sum[0]), wrap_angle(phase_diff)
     lam = scales.lam
     sg = math.copysign(1.0, delta)
     ad = abs(delta)
     ch = chi - ad
-    sin_sum = math.sin(state.phase_sum)
+    sin_sum = math.sin(phase_sum)
 
     F_plus = np.array([[2 * lam * n0, 4 * n0 * eps * sin_sum],
                        [0.0, 2 * (gamma + lam * n0)]])
@@ -282,8 +283,8 @@ def above_matrices(params: SystemParams, scales: DerivedScales,
 
     return AboveThresholdMatrices(
         F_plus=F_plus, F_minus=F_minus, D_plus=D_plus, D_minus=D_minus,
-        C_plus=C_plus, C_minus=C_minus, n0=n0, phase_sum=state.phase_sum,
-        phase_diff=state.phase_diff, near_threshold=near_threshold(scales, eps))
+        C_plus=C_plus, C_minus=C_minus, n0=n0, phase_sum=phase_sum,
+        phase_diff=phase_diff, near_threshold=near_threshold(scales, eps))
 
 
 def temporal_corr_above(params: SystemParams, scales: DerivedScales,

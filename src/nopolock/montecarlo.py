@@ -79,7 +79,6 @@ class SimConfig:
     burn_in: float = 10.0
     seed: int = 0
     divergence_bound: float = 1e6
-    scheme: str = "euler-ito"
     sample_every: int = 10
     chunk_size: int = 512
 
@@ -100,8 +99,6 @@ class SimConfig:
             raise ParameterDomainError("n_traj must be at least 2")
         if not self.divergence_bound > 0:
             raise ParameterDomainError("divergence_bound must be positive")
-        if self.scheme != "euler-ito":
-            raise ParameterDomainError(f"unknown integration scheme {self.scheme!r}")
         if self.sample_every < 1 or self.chunk_size < 1:
             raise ParameterDomainError("sample_every and chunk_size must be >= 1")
 

@@ -283,10 +283,14 @@ def stability_eigenvalues(params: SystemParams, scales: DerivedScales, eps: floa
 def _check_states(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
                   states: np.ndarray) -> None:
     """Refuse the first of the states ``(4, n)`` at the pumps ``eps`` that is not
-    classical (``ParameterDomainError``), or not finite and steady (``NotSteadyStateError``).
+    finite and steady (``NotSteadyStateError``), or not classical (``ParameterDomainError``).
 
-    Every check runs once on the whole batch.
+    Every check runs once on the whole batch, finiteness first.
     """
+    finite = np.isfinite(states).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NotSteadyStateError(f"state {states[:, i]} is not finite at eps = {eps[i]:.6g}")
     amp = 1.0 + np.abs(states).max(axis=0)
     if (np.abs(states[2:] - states[:2].conj()) > 1e-12 * amp).any():
         raise ParameterDomainError("stability needs a classical state, beta = conj(alpha)")
@@ -299,9 +303,8 @@ def _check_states(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
     bad = ~(resid <= bound)  # a NaN residual fails too
     if bad.any():
         i = int(np.argmax(bad))
-        why = (f"drift residual {resid[i]:.3e} exceeds {bound[i]:.3e}" if np.isfinite(amp[i])
-               else f"state {states[:, i]} is not finite")
-        raise NotSteadyStateError(f"state is not steady: {why} at eps = {eps[i]:.6g}")
+        raise NotSteadyStateError(f"state is not steady: drift residual {resid[i]:.3e} "
+                                  f"exceeds {bound[i]:.3e} at eps = {eps[i]:.6g}")
 
 
 def _eigen_solve(params: SystemParams, scales: DerivedScales, eps: np.ndarray,

@@ -39,3 +39,8 @@ def assert_close(actual, expected, tol, label=""):
 
 
 EPS_TH_STANDARD = math.sqrt(7.25)  # gamma=1, delta=3, chi=0.5
+
+#: (chi, delta) at and next to chi = |delta| (gamma = 1), where the unfactored
+#: below-threshold closed forms cancel
+CHI_NEAR_DELTA = ((10.0, 10.0), (100.0, 100.0), (1e3, 1e3), (1e4, 1e4),
+                  (50.0, 49.0), (1e3, 999.0))

@@ -64,6 +64,14 @@ def test_fmt_rows_equals_fmt_joined():
 
 
 class TestVarianceCommand:
+    def test_sweep_at_chi_equal_delta(self, capsys):
+        # the lowest-threshold point chi = |delta|: eps_th = gamma
+        assert main(["variance", "--chi", "100", "--delta", "100",
+                     "--sweep", "eps_ratio:0.01:0.99:0.01", "--output", "-"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line and not line.startswith("#")]
+        assert len(rows) == 1 + 99  # the column names, then one row per pump
+
     def test_auto_sweep_stitches_across_threshold(self, tmp_path, capsys):
         assert main(["variance", "--chi", "0.5", "--delta", "3",
                      "--sweep", "eps_ratio:0.9:1.1:0.001",
@@ -393,7 +401,7 @@ MODEL_KEYS = {"gamma", "gamma1", "gamma2", "gamma3", "delta", "delta1", "delta2"
               "chi", "k", "E", "phi_L", "phi_k", "phi_chi",
               "lam", "eps", "eps_ratio", "eps_over_chi"}
 SIM_KEYS = {"dt", "t_max", "n_traj", "burn_in", "seed", "divergence_bound",
-            "scheme", "sample_every", "chunk_size"}
+            "sample_every", "chunk_size"}
 COMMANDS = {"steady": ["steady"],
             "variance": ["variance", "--sweep", "eps_ratio:0.5:0.6:0.1"],
             "mc": ["mc"]}
@@ -429,7 +437,7 @@ class TestParameterTable:
                   "delta2": "2.5", "chi": "0.5", "k": "0.25", "E": "4", "phi_L": "0.125",
                   "phi_k": "0.25", "phi_chi": "-0.5", "dt": "0.002", "t_max": "0.1",
                   "n_traj": "16", "burn_in": "0.05", "seed": "3", "divergence_bound": "100000",
-                  "scheme": "euler-ito", "sample_every": "5", "chunk_size": "8"}
+                  "sample_every": "5", "chunk_size": "8"}
         assert set(values) == ({f.name for f in fields(SystemParams)}
                                | {f.name for f in fields(SimConfig)})
         args = [x for key, value in values.items() for x in (flag(key), value)]
@@ -443,11 +451,21 @@ class TestParameterTable:
         assert (tmp_path / "file.csv").read_bytes() == text
         header, _, _ = read_csv(tmp_path / "flags.csv")
         recorded = dict(line[2:].split(" = ", 1) for line in header[2:])
+        assert "scheme" not in recorded
         for key, value in values.items():
-            if key == "scheme":
-                assert recorded[key] == value
-            else:
-                assert float(recorded[key]) == float(value), key
+            assert float(recorded[key]) == float(value), key
+
+    def test_scheme_is_not_an_option(self, tmp_path, capsys):
+        # the integrator is Euler-Ito, with no switch: neither flag nor config key
+        with pytest.raises(SystemExit) as exc:
+            main(MC_SHORT + ["--scheme", "euler-ito", "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scheme" in capsys.readouterr().err
+        cfg = tmp_path / "scheme.cfg"
+        cfg.write_text("scheme = euler-ito\n")
+        assert main(MC_SHORT + ["--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+        assert "unknown key(s) 'scheme'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("key, value", [
         ("n_traj", "abc"), ("n_traj", "1.5"), ("chi", "abc")],

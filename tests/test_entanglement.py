@@ -21,7 +21,7 @@ from nopolock import entanglement, fluctuations, steady
 from nopolock.entanglement import unitary_period
 from nopolock.steady import steady_state
 
-from conftest import assert_close, at_ratio, make_system
+from conftest import CHI_NEAR_DELTA, assert_close, at_ratio, make_system
 
 
 def eq54_variance(gamma, delta, chi, eps):
@@ -171,6 +171,10 @@ class TestVarianceBelow:
             assert 0.5 <= rep.V < 1.0
 
 
+#: the (chi, delta) sets of figure 3
+FIGURE3_SETS = ((0.1, 10.0), (0.5, 3.0), (0.5, 1.0))
+
+
 class TestVarianceAbove:
     def test_threshold_value(self):
         params, scales = make_system(delta=10.0, chi=0.1)
@@ -234,16 +238,46 @@ class TestVarianceAbove:
         params, scales, eps = at_ratio(*standard, 1.5)
         expected = moments_above(params, scales, eps)
         calls = []
+        locked_family = steady._locked_family
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args)
-            return steady_state(*args, **kwargs)
+            return locked_family(*args)
 
         for module in (entanglement, fluctuations):
-            if hasattr(module, "steady_state"):
-                monkeypatch.setattr(module, "steady_state", counted)
+            monkeypatch.setattr(module, "_locked_family", counted)
         assert moments_above(params, scales, eps) == expected
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("chi, delta", FIGURE3_SETS)
+    def test_moments_match_the_steady_state_route_bitwise(self, monkeypatch, chi, delta):
+        # the locked state is the one steady_state returns, bit for bit
+        params, scales = make_system(delta=delta, chi=chi)
+        for ratio in (1.01, 1.5, 3.0):
+            eps = ratio * scales.eps_th
+            direct = moments_above(params, scales, eps)
+            state = steady_state(params, scales, eps)
+            with monkeypatch.context() as m:
+                m.setattr(fluctuations, "_locked_family", lambda *args: (
+                    np.array([state.phase_sum]), state.phase_diff, None,
+                    np.array([state.n10]), None, None))
+                m.setattr(fluctuations, "wrap_angle", lambda x: x)  # already wrapped
+                assert moments_above(params, scales, eps) == direct, ratio
+
+    def test_above_evaluators_solve_no_eigenvalues(self, standard, monkeypatch):
+        params, scales, eps = at_ratio(*standard, 1.5)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def recording_eigvals(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+        above_matrices(params, scales, eps)
+        moments_above(params, scales, eps)
+        temporal_corr_above(params, scales, eps, 0.5)
+        assert calls == []
 
     def test_regime_and_singular_errors(self, standard):
         params, scales = standard
@@ -276,7 +310,6 @@ class TestVarianceSteadyDispatch:
             variance_steady(params, scales, 0.5 * scales.eps_th, regime="above")
 
 
-FIGURE3_SETS = ((0.1, 10.0), (0.5, 3.0), (0.5, 1.0))
 FIGURE_GRID = np.arange(0.01, 3.0 + 1e-9, 0.005)
 COLUMNS = ("V", "R", "V_plus", "V_minus", "product", "sigma_theta")
 
@@ -393,17 +426,13 @@ class TestVarianceSweep:
         with pytest.raises(SingularParameterError):
             variance_sweep(zero_det, zd, np.array([0.5, 1.5]) * zd.eps_th)
 
-    @pytest.mark.parametrize("index", [0, 100, 196])
-    def test_identity_guard_fires_at_one_point(self, standard, monkeypatch, index):
-        params, scales = standard
-        eps = FIGURE_GRID * scales.eps_th  # 197 pumps below threshold
-
-        def break_identity(out):
-            out[0][index, 0, 3] += 1e-9
-
-        perturb_output(monkeypatch, fluctuations, "_below_matrix_stacks", break_identity)
-        with pytest.raises(AssertionError, match="identity violated"):
-            variance_sweep(params, scales, eps)
+    @pytest.mark.parametrize("chi, delta", CHI_NEAR_DELTA)
+    def test_sweeps_to_threshold_near_chi_equal_delta(self, chi, delta):
+        # the closed forms do not cancel there, and the solve guard's tolerance
+        # grows with the conditioning of F
+        params, scales = make_system(delta=delta, chi=chi)
+        sweep = variance_sweep(params, scales, np.linspace(0.01, 0.999, 100) * scales.eps_th)
+        assert np.isfinite(sweep.V).all() and (sweep.V < 1).all()
 
     @pytest.mark.parametrize("index", [0, 100, 196])
     def test_closed_form_guard_fires_at_one_point(self, standard, monkeypatch, index):

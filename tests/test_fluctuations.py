@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from nopolock import (ParameterDomainError, RegimeError, SingularParameterError,
                       temporal_corr_below)
 from nopolock.fluctuations import _lagged
 
-from conftest import at_ratio, make_system
+from conftest import CHI_NEAR_DELTA, at_ratio, make_system
 
 
 class TestBelowMatrices:
@@ -42,7 +43,8 @@ class TestBelowMatrices:
         params, scales, eps = at_ratio(*make_system(gamma=gamma, delta=sign * abs_delta,
                                                     chi=chi), ratio)
         mats = below_matrices(params, scales, eps)
-        assert np.abs(mats.D @ mats.F.T - mats.F @ mats.D).max() <= 1e-12 * max(1.0, eps * gamma)
+        # each entry of both products is one product of the same two numbers: exact
+        assert (mats.D @ mats.F.T == mats.F @ mats.D).all()
 
     def test_noise_scalar_positive_below_threshold(self, standard):
         params, scales = standard
@@ -77,7 +79,33 @@ def closed_form_blocks(gamma, delta, chi, eps):
     return aa, ab
 
 
+def exact_closed_form(gamma, delta, chi, eps):
+    """The unfactored closed forms in exact rational arithmetic at the float inputs.
+
+    Returns ``(re, im)`` pairs of ``Fraction`` for the entries ``aa[0, 0]``,
+    ``aa[0, 1]``, ``ab[0, 0]`` and ``ab[0, 1]``.
+    """
+    g, d, c, e = map(Fraction, (gamma, delta, chi, eps))
+    s2 = g**2 + c**2 + d**2 - e**2
+    den = s2**2 - 4 * d**2 * c**2
+    sa, sb = e / (2 * den), e**2 / (2 * den)
+    return ((sa * g * (-2 * c * d), -sa * c * (s2 - 2 * d**2)),
+            (sa * g * s2, -sa * d * (s2 - 2 * c**2)),
+            (sb * s2, 0), (sb * (-2 * c * d), 0))
+
+
 class TestEqualTimeBelow:
+    @pytest.mark.parametrize("chi, delta", CHI_NEAR_DELTA)
+    def test_closed_forms_match_exact_arithmetic_near_chi_equal_delta(self, chi, delta):
+        params, scales = make_system(delta=delta, chi=chi)
+        for ratio in (0.01, 0.5, 0.999):
+            eps = ratio * scales.eps_th
+            aa, ab = equal_time_corr_below(params, scales, eps)
+            for got, (re, im) in zip((aa[0, 0], aa[0, 1], ab[0, 0], ab[0, 1]),
+                                     exact_closed_form(1.0, delta, chi, eps)):
+                ref = complex(float(re), float(im))
+                assert abs(got - ref) <= 1e-13 * abs(ref), (ratio, got, ref)
+
     def test_vanishes_without_pump(self, standard):
         aa, ab = equal_time_corr_below(*standard, eps=1e-12)
         assert np.abs(aa).max() < 1e-11

@@ -524,12 +524,17 @@ class TestSimConfigDomain:
     @pytest.mark.parametrize("field, value, message", [
         ("n_traj", 1, "n_traj must be at least 2"),
         ("divergence_bound", 0.0, "divergence_bound must be positive"),
-        ("scheme", "milstein", "unknown integration scheme"),
         ("sample_every", 0, "sample_every and chunk_size must be >= 1"),
         ("chunk_size", 0, "sample_every and chunk_size must be >= 1")])
     def test_settings_out_of_range_refused(self, field, value, message):
         with pytest.raises(ParameterDomainError, match=message):
             SimConfig(**{field: value})
+
+    def test_scheme_is_not_a_setting(self):
+        # Euler-Ito is the only integrator: a second scheme brings its own field
+        assert "scheme" not in {f.name for f in dataclasses.fields(SimConfig)}
+        with pytest.raises(TypeError, match="scheme"):
+            SimConfig(scheme="euler-ito")
 
     def test_horizon_must_be_whole_number_of_steps(self):
         with pytest.raises(ParameterDomainError, match="whole number of steps"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,15 @@ class TestStability:
         params, scales = standard
         with pytest.raises(NotSteadyStateError, match="not finite"):
             stability_eigenvalues(params, scales, 1.0, np.full(4, np.nan + 0j))
+
+    def test_infinite_state_refused_by_name_without_warnings(self, standard):
+        # finiteness is checked before any arithmetic that inf - inf would poison
+        params, scales = standard
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NotSteadyStateError, match="not finite"):
+                stability_eigenvalues(params, scales, 1.0,
+                                      np.array([np.inf, 0, np.inf, 0], complex))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(symmetric=hst.booleans(), gamma2=hst.floats(0.5, 2.0),
