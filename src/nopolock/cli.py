@@ -3,12 +3,12 @@
 Subcommands
 -----------
 steady    print threshold, photon numbers, locked phases and stability
-variance  sweep a variance evaluator, emit CSV rows
+variance  sweep the variance over chi_t or eps_ratio, emit CSV rows
 mc        run the positive-P ensemble, emit moment estimates (and phases)
 figure    reproduce the data behind the five standard figures as CSV
 
-Exit codes: 0 success, 2 parameter-domain error, 3 regime error,
-4 Monte Carlo estimation failure.
+Exit codes: 0 success, 2 parameter-domain error, 4 Monte Carlo estimation
+failure.
 
 CSV files start with ``#`` comment lines naming the tool version and the
 full configuration; numbers are written with 17 significant digits so
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .entanglement import unitary_variance, variance_sweep
-from .errors import (EstimationError, ParameterDomainError, RegimeError)
+from .errors import EstimationError, ParameterDomainError
 from .montecarlo import LOCKED_HALFWIDTH, SimConfig, sample_ensemble
 from .params import DerivedScales, SystemParams, derive_scales, locking_feasible
 from .steady import _checked, critical_points, output_rates, replace_pump, steady_state
@@ -224,9 +224,7 @@ def cmd_steady(ns: argparse.Namespace) -> int:
 
 
 def _variance_rows(params, scales, ns, var, grid):
-    if ns.regime == "unitary":
-        if var != "chi_t":
-            raise ParameterDomainError("unitary sweeps use the variable chi_t")
+    if var == "chi_t":
         if not params.chi > 0:
             raise ParameterDomainError(
                 "unitary sweeps measure time as chi*t and need chi > 0")
@@ -235,23 +233,22 @@ def _variance_rows(params, scales, ns, var, grid):
             return fmt_rows(grid, values, np.zeros(grid.shape), values, values, values * values,
                             flag=["ok"] * grid.size)
     if var != "eps_ratio":
-        raise ParameterDomainError("steady-state sweeps use the variable eps_ratio")
-    sweep = variance_sweep(params, scales, grid * scales.eps_th, ns.delta_theta,
-                           regime=ns.regime)
+        raise ParameterDomainError(
+            f"sweep variable must be chi_t (unitary) or eps_ratio (steady state), got {var!r}")
+    sweep = variance_sweep(params, scales, grid * scales.eps_th, ns.delta_theta)
     return fmt_rows(grid, sweep.V, sweep.R, sweep.V_plus, sweep.V_minus, sweep.product,
                     flag=sweep.flag)
 
 
 def cmd_variance(ns: argparse.Namespace) -> int:
-    for name in ("delta_theta", "sigma_theta"):  # refused in every regime, used or not
+    for name in ("delta_theta", "sigma_theta"):  # refused in every sweep, used or not
         if not math.isfinite(getattr(ns, name)):
             raise ParameterDomainError(f"{name} must be finite, got {getattr(ns, name)}")
     params, scales = build_params(_settings(ns))
     var, grid = parse_sweep(ns.sweep)
     rows = _variance_rows(params, scales, ns, var, grid)
-    header = _header(ns, params, {
-        "regime": ns.regime, "delta_theta": fmt(ns.delta_theta),
-        "sigma_theta": fmt(ns.sigma_theta), "sweep": ns.sweep})
+    header = _header(ns, params, {"delta_theta": fmt(ns.delta_theta),
+                                  "sigma_theta": fmt(ns.sigma_theta), "sweep": ns.sweep})
     columns = [var, "V", "R", "V_plus", "V_minus", "product", "flag"]
     out = None if ns.output == "-" else _outdir(ns) / (ns.output or "variance.csv")
     _write_csv(out, header, columns, rows)
@@ -307,7 +304,7 @@ def _figure_curves(n: int):
     for i, (chi, delta) in enumerate(FIGURE_STEADY_PARAMS[n], 1):
         params = SystemParams.symmetric(gamma=1.0, delta=delta, chi=chi, lam=1.0)
         scales = derive_scales(params)
-        sweep = variance_sweep(params, scales, grid * scales.eps_th, 0.0, "auto")
+        sweep = variance_sweep(params, scales, grid * scales.eps_th)
         columns = {3: ["eps_ratio", "V", "flag"],
                    4: ["eps_ratio", "V_plus", "V_minus", "flag"],
                    5: ["eps_ratio", "product", "flag"]}[n]
@@ -353,13 +350,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variance", help="sweep a variance evaluator to CSV")
     _add_table_flags(p, "variance")
-    p.add_argument("--regime", choices=("unitary", "below", "above", "auto"),
-                   default="auto")
     p.add_argument("--sweep", required=True, metavar="VAR:START:STOP:STEP",
-                   help="eps_ratio:... for steady regimes, chi_t:... for unitary")
+                   help="chi_t:... for the unitary variance, eps_ratio:... for the steady state")
     p.add_argument("--delta-theta", dest="delta_theta", type=float, default=0.0)
     p.add_argument("--sigma-theta", dest="sigma_theta", type=float, default=0.0,
-                   help="sum angle for the unitary regime (minimizing angle is 0)")
+                   help="sum angle of a chi_t sweep (minimizing angle is 0)")
     p.add_argument("--output", help="file name under outdir, or - for stdout")
     p.set_defaults(func=cmd_variance)
 
@@ -396,9 +391,6 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterDomainError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
-    except RegimeError as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return 3
     except EstimationError as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return 4

@@ -185,49 +185,40 @@ def moments_above(params: SystemParams, scales: DerivedScales,
 
 
 def variance_sweep(params: SystemParams, scales: DerivedScales, eps: np.ndarray | float,
-                   delta_theta: float = 0.0, regime: str = "auto") -> VarianceSweep:
+                   delta_theta: float = 0.0) -> VarianceSweep:
     """Steady-state variances at every pump rate of the 1-D array ``eps``.
 
-    ``regime`` is ``"below"``, ``"above"`` or ``"auto"``.  ``auto`` switches
-    at threshold; the hand-off band a relative :data:`_THRESHOLD_HANDOFF`
-    below threshold is served by the above-threshold closed forms, which
-    are exact at the (continuous) threshold limit.  Each regime is one
-    batched pass, and every runtime check of the single-pump evaluators
-    runs on every pump: below threshold the closed forms against ``(1/2)
-    F^-1 D``, above it the classical-state and drift-residual checks of the
-    locked state.  No stability eigenvalue is solved: nothing here reads one.
+    Each pump's side of threshold picks its regime.  The hand-off band a
+    relative :data:`_THRESHOLD_HANDOFF` below threshold is served by the
+    above-threshold closed forms, which are exact at the (continuous)
+    threshold limit.  Each regime is one batched pass, and every runtime
+    check of the single-pump evaluators runs on every pump: below threshold
+    the closed forms against ``(1/2) F^-1 D``, above it the classical-state
+    and drift-residual checks of the locked state.  No stability eigenvalue
+    is solved: nothing here reads one.
     """
     if not math.isfinite(delta_theta):
         raise ParameterDomainError(f"delta_theta must be finite, got {delta_theta!r}")
     eps = np.atleast_1d(_checked("eps", eps))
-    edge = scales.eps_th * (1 - _THRESHOLD_HANDOFF)
-    if regime == "below":
-        below = np.ones(eps.shape, dtype=bool)
-    elif regime == "above":
-        below = np.zeros(eps.shape, dtype=bool)
-    elif regime == "auto":
-        below = eps < edge
-    else:
-        raise ParameterDomainError(f"unknown regime {regime!r}")
+    below = eps < scales.eps_th * (1 - _THRESHOLD_HANDOFF)
     columns = np.empty((6,) + eps.shape)
     if below.any():
-        columns[:, below] = _below_columns(params, scales, eps[below], delta_theta, edge)
+        columns[:, below] = _below_columns(params, scales, eps[below], delta_theta)
     if not below.all():
-        columns[:, ~below] = _above_columns(params, scales, eps[~below], delta_theta, edge)
+        columns[:, ~below] = _above_columns(params, scales, eps[~below], delta_theta)
     flag = np.where(near_threshold(scales, eps), FLAG_NEAR_THRESHOLD, FLAG_OK)
     return VarianceSweep(*columns, flag)
 
 
 def _below_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
-                   delta_theta: float, edge: float) -> tuple:
+                   delta_theta: float) -> tuple:
     """Minimized-angle variances below threshold; the rows of :class:`VarianceSweep`.
 
-    The usable domain stops a relative :data:`_THRESHOLD_HANDOFF` short of
-    threshold: closer in, the correlator denominators cancel to roundoff
-    and the (finite, continuous) variance limits must be taken from the
-    above-threshold closed forms instead.
+    :func:`variance_sweep` routes here only pumps a relative
+    :data:`_THRESHOLD_HANDOFF` short of threshold: closer in, the correlator
+    denominators cancel to roundoff and the (finite, continuous) variance
+    limits are taken from the above-threshold closed forms instead.
     """
-    _checked("eps", eps, edge)
     corr_aa, corr_ab = equal_time_corr_below_stack(params, scales, eps)
     n, m_aa = corr_ab[:, 0, 0].real, corr_aa[:, 0, 1]
     # sigma_theta = -arg <a1 a2>; free (taken as 0) where the pair moment vanishes
@@ -237,7 +228,7 @@ def _below_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
 
 
 def _above_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
-                   delta_theta: float, edge: float) -> tuple:
+                   delta_theta: float) -> tuple:
     """Variances in the locked above-threshold regime (closed forms).
 
     The local-oscillator sum angle is locked to the semiclassical phase
@@ -249,7 +240,6 @@ def _above_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
     if delta == 0:
         raise SingularParameterError(
             "above-threshold variances divide by |delta|; delta = 0 is singular")
-    _checked("eps", eps, edge, below=False)
 
     ad = abs(delta)
     w = np.sqrt(1 + np.maximum(0.0, eps**2 - scales.eps_th**2) / gamma**2)
@@ -267,12 +257,12 @@ def _above_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
 
 
 def variance_steady(params: SystemParams, scales: DerivedScales, eps: float,
-                    delta_theta: float = 0.0, regime: str = "auto") -> VarianceReport:
+                    delta_theta: float = 0.0) -> VarianceReport:
     """:func:`variance_sweep` at the single pump ``eps``, as a :class:`VarianceReport`.
 
     At ``eps = 0`` the sum angle is free: 0 is used, flagged ``degenerate``.
     """
-    sweep = variance_sweep(params, scales, eps, delta_theta, regime)
+    sweep = variance_sweep(params, scales, eps, delta_theta)
     angles = QuadratureAngles.from_sums(float(sweep.sigma_theta[0]), delta_theta,
                                         params, degenerate=eps == 0)
     return _report(sweep.V[0], sweep.R[0], sweep.V_plus[0], sweep.V_minus[0],

@@ -15,9 +15,10 @@ closed-form 2x2 ``exp(-F tau)``, below threshold on the two 2x2 blocks that
 the mode-swap symmetry splits ``F`` into (:func:`_lagged`): numpy suffices.
 
 Sign conventions here follow the linearization of the stochastic equations
-(so that photon numbers come out positive); consequently the off-diagonal
-blocks of ``F`` carry ``-eps`` where the corresponding diffusion blocks
-carry ``+eps``.
+(so that photon numbers come out positive): below threshold ``F`` is minus
+the Jacobian :func:`~nopolock.steady.drift_jacobian` of the mean-field drift
+at the zero state, so the off-diagonal blocks of ``F`` carry ``-eps`` where
+the corresponding diffusion blocks carry ``+eps``.
 
 All entries are covariances of the doubled-phase-space variables, i.e.
 normal-ordered moments; individual entries may be negative or diverge at
@@ -29,13 +30,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParameterDomainError, SingularParameterError
 from .params import DerivedScales, SystemParams, wrap_angle
-from .steady import _checked, _locked_family
+from .steady import _checked, _locked_family, drift_jacobian
 
 #: relative half-width of the pump band around threshold inside which the
 #: linearized treatment is flagged unreliable
@@ -75,24 +76,21 @@ def below_matrices(params: SystemParams, scales: DerivedScales,
                    eps: float) -> BelowThresholdMatrices:
     """Linearized drift and diffusion around the zero solution."""
     gamma, delta, chi = _require_symmetric(params)
-    F, D = _below_matrix_stacks(params, _checked("eps", [eps], scales.eps_th))
+    F, D = _below_matrix_stacks(params, scales, _checked("eps", [eps], scales.eps_th))
     return BelowThresholdMatrices(F=F[0], A=F[0, :2, :2], B=F[0, :2, 2:], D=D[0],
                                   s_sq=gamma**2 + chi**2 + delta**2 - eps**2)
 
 
-def _below_matrix_stacks(params: SystemParams,
+def _below_matrix_stacks(params: SystemParams, scales: DerivedScales,
                          eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drift ``F`` and diffusion ``D`` stacks ``(n, 4, 4)`` at the pumps ``eps``.
 
+    ``F`` is minus :func:`~nopolock.steady.drift_jacobian` at the zero state.
     Every entry of ``D F^T`` and of ``F D`` is one product of the same two
     numbers, so ``D F^T = F D`` holds exactly.
     """
-    gamma, delta, chi = params.gamma1, params.delta1, params.chi
-    F = np.zeros((eps.size, 4, 4), dtype=complex)
-    F[:, :2, :2] = [[gamma + 1j * delta, 1j * chi], [1j * chi, gamma + 1j * delta]]
-    F[:, 2:, 2:] = F[:, :2, :2].conj()
-    # B = -eps X in the off-diagonal blocks, D = eps X in the diagonal ones
-    F[:, 0, 3] = F[:, 1, 2] = F[:, 2, 1] = F[:, 3, 0] = -eps
+    F = -drift_jacobian(np.zeros((4, eps.size), complex), params, replace(scales, eps=eps))
+    # D = eps X in the diagonal blocks, where F has B = -eps X off the diagonal
     D = np.zeros((eps.size, 4, 4), dtype=complex)
     D[:, 0, 1] = D[:, 1, 0] = D[:, 2, 3] = D[:, 3, 2] = eps
     return F, D
@@ -160,7 +158,7 @@ def equal_time_corr_below_stack(params: SystemParams, scales: DerivedScales,
     corr_aa, corr_ab = _corr_closed_below(params, eps)
     far = eps <= 0.999 * scales.eps_th
     if far.any():
-        F, D = _below_matrix_stacks(params, eps[far])
+        F, D = _below_matrix_stacks(params, scales, eps[far])
         C4 = 0.5 * np.linalg.solve(F, D)
         c_max, half_d = np.abs(C4).max(axis=(1, 2)), eps[far] / 2  # max|D/2|
         kappa = np.divide(np.abs(F).max(axis=(1, 2)) * c_max, half_d,

@@ -122,7 +122,7 @@ def test_criterion_03_ordinary_oscillator_limit():
     g = math.hypot(1.0, 3.0)
     worst = 0.0
     for eps in np.linspace(0.02, 0.95, 40) * scales.eps_th:
-        v = variance_steady(params, scales, eps, regime="below").V
+        v = variance_steady(params, scales, eps).V
         worst = max(worst, abs(v - (1 - eps / (eps + g))))
     ok = worst < 1e-6
     report(3, ok, f"mixer-free limit: max deviation {worst:.2e}")
@@ -133,8 +133,8 @@ def test_criterion_04_threshold_cancellation():
     """V, V+, V- continuous across threshold to 1e-3 at chi=0.5, delta=3."""
     params, scales = make_system(delta=3.0, chi=0.5)
     d = 1e-6
-    below = variance_steady(params, scales, scales.eps_th * (1 - d), regime="below")
-    above = variance_steady(params, scales, scales.eps_th * (1 + d), regime="above")
+    below = variance_steady(params, scales, scales.eps_th * (1 - d))
+    above = variance_steady(params, scales, scales.eps_th * (1 + d))
     gaps = (abs(below.V - above.V), abs(below.V_plus - above.V_plus),
             abs(below.V_minus - above.V_minus))
     ok = max(gaps) < 1e-3 and all(np.isfinite(gaps))
@@ -152,7 +152,7 @@ def test_criterion_05_above_threshold_asymptote():
         params, scales = make_system(delta=delta, chi=chi)
         asymptote = 0.75 + chi / (4 * abs(delta))
         gaps[chi, delta] = [
-            abs(variance_steady(params, scales, k * scales.eps_th, regime="above").V - asymptote)
+            abs(variance_steady(params, scales, k * scales.eps_th).V - asymptote)
             for k in pumps]
     shrinking = all(g[0] > g[1] > g[2] for g in gaps.values())
     ok = shrinking and max(g[-1] for g in gaps.values()) < 1e-3
@@ -176,7 +176,7 @@ def test_criterion_06_epr_product_near_threshold():
     for chi, delta in ((0.5, 1.0), (0.3, 1.0), (1.0, 2.0), (0.2, 1.5), (1.0, 1.5)):
         params, scales = make_system(delta=delta, chi=chi)
         rep = variance_steady(params, scales, scales.eps_th * (1 + 1e-6),
-                              delta_theta=0.0, regime="above")
+                              delta_theta=0.0)
         target = (abs(delta) + chi) / (4 * abs(delta))
         worst_eq = max(worst_eq, abs(rep.product - target))
     above_quarter = True
@@ -185,7 +185,7 @@ def test_criterion_06_epr_product_near_threshold():
         params, scales = make_system(delta=delta, chi=chi)
         for ratio in (1 + 1e-6, 1.05, 1.5, 3.0, 10.0):
             rep = variance_steady(params, scales, ratio * scales.eps_th,
-                                  delta_theta=0.0, regime="above")
+                                  delta_theta=0.0)
             above_quarter &= rep.product > 0.25
     ok = worst_eq < 1e-6 and above_quarter
     report(6, ok, f"product vs threshold value: max gap {worst_eq:.2e}; "

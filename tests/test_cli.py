@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -91,7 +92,7 @@ class TestVarianceCommand:
         assert steps.max() < 5e-3
 
     def test_unitary_sweep_minimum(self, tmp_path):
-        assert main(["variance", "--regime", "unitary", "--chi", "1",
+        assert main(["variance", "--chi", "1",
                      "--eps-over-chi", "2", "--sweep", "chi_t:0:1.2:0.002",
                      "--outdir", str(tmp_path), "--output", "u.csv"]) == 0
         _, columns, rows = read_csv(tmp_path / "u.csv")
@@ -103,7 +104,7 @@ class TestVarianceCommand:
 
     def test_above_sweep_approaches_asymptote(self, tmp_path):
         assert main(["variance", "--chi", "0.1", "--delta", "10",
-                     "--regime", "above", "--sweep", "eps_ratio:1.001:6:0.05",
+                     "--sweep", "eps_ratio:1.001:6:0.05",
                      "--outdir", str(tmp_path), "--output", "a.csv"]) == 0
         _, columns, rows = read_csv(tmp_path / "a.csv")
         v = column(rows, columns, "V")
@@ -116,13 +117,6 @@ class TestVarianceCommand:
         assert main(args + ["--output", "r1.csv"]) == 0
         assert main(args + ["--output", "r2.csv"]) == 0
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
-
-    def test_regime_mismatch_exit_code(self, tmp_path, capsys):
-        code = main(["variance", "--chi", "0.5", "--delta", "3",
-                     "--regime", "below", "--sweep", "eps_ratio:1.2:1.4:0.1",
-                     "--outdir", str(tmp_path)])
-        assert code == 3
-        assert "regime error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sweep", [
         "eps_ratio:2:1:0.1", "eps_ratio:0:1:nan", "eps_ratio:0:inf:0.1",
@@ -142,35 +136,41 @@ class TestVarianceCommand:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("flag, regime, sweep", [
-        ("--delta-theta", "auto", "eps_ratio:0.5:1.5:0.5"),
-        ("--sigma-theta", "unitary", "chi_t:0:1:0.5"),
-        ("--sigma-theta", "auto", "eps_ratio:0.5:1.5:0.5"),  # an angle the regime ignores
-        ("--delta-theta", "unitary", "chi_t:0:1:0.5")],
+    @pytest.mark.parametrize("flag, sweep", [
+        ("--delta-theta", "eps_ratio:0.5:1.5:0.5"),
+        ("--sigma-theta", "chi_t:0:1:0.5"),
+        ("--sigma-theta", "eps_ratio:0.5:1.5:0.5"),  # an angle the sweep ignores
+        ("--delta-theta", "chi_t:0:1:0.5")],
         ids=["delta_theta", "sigma_theta", "sigma_theta_steady", "delta_theta_unitary"])
-    def test_non_finite_angle_exit_code(self, tmp_path, capsys, flag, regime, sweep, value):
+    def test_non_finite_angle_exit_code(self, tmp_path, capsys, flag, sweep, value):
         code = main(["variance", "--chi", "0.5", "--delta", "3", "--eps-ratio", "0.5",
-                     "--regime", regime, "--sweep", sweep, f"{flag}={value}",
+                     "--sweep", sweep, f"{flag}={value}",
                      "--outdir", str(tmp_path)])
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("regime, sweep, message", [
-        ("unitary", "eps_ratio:0:1:0.5", "unitary sweeps use the variable chi_t"),
-        ("auto", "chi_t:0:1:0.5", "steady-state sweeps use the variable eps_ratio")],
-        ids=["unitary_over_eps_ratio", "steady_over_chi_t"])
-    def test_sweep_variable_must_match_regime(self, tmp_path, capsys, regime, sweep, message):
+    def test_unknown_sweep_variable_refused(self, tmp_path, capsys):
         code = main(["variance", "--chi", "0.5", "--delta", "3", "--eps-ratio", "0.5",
-                     "--regime", regime, "--sweep", sweep, "--outdir", str(tmp_path)])
+                     "--sweep", "x:0:1:0.5", "--outdir", str(tmp_path)])
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error:") and "chi_t" in err and "eps_ratio" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_regime_flag_is_gone(self, tmp_path, capsys):
+        # the sweep variable and the pump pick the regime; there is no flag to set it
+        with pytest.raises(SystemExit) as exit_info:
+            main(["variance", "--regime", "unitary", "--chi", "1", "--eps-over-chi", "2",
+                  "--sweep", "chi_t:0:1:0.5", "--outdir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "--regime" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_unitary_sweep_past_float_range_is_inf(self, capsys):
         # sinh overflows from chi_t = 205 at eps/chi = 2; V is +inf there, not nan.
         # At chi_t = 125 V is finite and V^2 is past the float range
-        assert main(["variance", "--regime", "unitary", "--chi", "1", "--eps-over-chi", "2",
+        assert main(["variance", "--chi", "1", "--eps-over-chi", "2",
                      "--sweep", "chi_t:0:1000:125", "--output", "-"]) == 0
         out = capsys.readouterr()
         assert out.err == ""
@@ -190,7 +190,7 @@ class TestVarianceCommand:
 
     def test_unitary_sweep_needs_mixing(self, tmp_path, capsys):
         # time is measured as chi*t, so the default chi = 0 has no time axis
-        code = main(["variance", "--regime", "unitary", "--eps", "0.5",
+        code = main(["variance", "--eps", "0.5",
                      "--sweep", "chi_t:0:1:0.5", "--outdir", str(tmp_path)])
         assert code == 2
         assert "chi > 0" in capsys.readouterr().err
@@ -383,7 +383,7 @@ class TestConfigPlumbing:
         assert (tmp_path / "env.csv").exists()
 
     def test_negative_pump_sweep_is_a_parameter_error(self, capsys):
-        # a negative pump is outside every regime, so it is no regime error (exit 3)
+        # a negative pump is outside every regime's domain: a parameter error
         assert main(["variance", "--chi", "0.5", "--delta", "3",
                      "--sweep", "eps_ratio:-0.5:0.5:0.5", "--output", "-"]) == 2
         captured = capsys.readouterr()
@@ -606,3 +606,24 @@ def test_pump_resolved_once_per_command(tmp_path, capsys, monkeypatch, argv):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     assert main(argv + ["--outdir", str(tmp_path)]) == 0
     assert sorted(calls) == ["derive_scales", "replace_pump"]
+
+
+def readme_commands():
+    """The ``nopolock`` command lines of the README's ``## Command line`` block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    # every line parses; all but mc run (its 2000 trajectories of 30000 steps are
+    # 60 M trajectory-steps, too many for a unit test)
+    commands = readme_commands()
+    assert {argv[1] for argv in commands} == {"steady", "variance", "mc", "figure"}
+    for i, (program, *argv) in enumerate(commands):
+        assert program == "nopolock", argv
+        make_parser().parse_args(argv)
+        if argv[0] != "mc":
+            assert main(argv + ["--outdir", str(tmp_path / str(i))]) == 0, argv
+    assert capsys.readouterr().err == ""

@@ -116,10 +116,10 @@ class TestOptimalAngleSum:
 class TestVarianceBelow:
     def test_vacuum_limit(self, standard):
         params, scales = standard
-        assert variance_steady(params, scales, 0.0, regime="below").V == 1.0
+        assert variance_steady(params, scales, 0.0).V == 1.0
 
     def test_standard_value(self, standard):
-        rep = variance_steady(*standard, eps=2.0, regime="below")
+        rep = variance_steady(*standard, eps=2.0)
         assert rep.V == pytest.approx(0.6110, abs=1e-4)
         assert rep.V == pytest.approx(eq54_variance(1.0, 3.0, 0.5, 2.0), abs=1e-12)
         assert rep.inseparable
@@ -128,14 +128,14 @@ class TestVarianceBelow:
         params, scales = standard
         for ratio in (0.1, 0.3, 0.6, 0.9, 0.94):
             eps = ratio * scales.eps_th
-            rep = variance_steady(params, scales, eps, regime="below")
+            rep = variance_steady(params, scales, eps)
             assert rep.V == pytest.approx(eq54_variance(1.0, 3.0, 0.5, eps), abs=1e-10)
 
     @pytest.mark.parametrize("delta", [3.0, -3.0])
     def test_splitting_amplitude_magnitude(self, delta):
         params, scales = make_system(delta=delta)
         eps = 2.0
-        rep = variance_steady(params, scales, eps, delta_theta=0.0, regime="below")
+        rep = variance_steady(params, scales, eps, delta_theta=0.0)
         assert abs(rep.R) == pytest.approx(
             abs(eq55_magnitude(1.0, delta, 0.5, eps)), rel=1e-10)
         # orientation fixed by continuity with the locked regime (see
@@ -148,26 +148,21 @@ class TestVarianceBelow:
         g = math.hypot(1.0, 3.0)
         for ratio in (0.2, 0.5, 0.9):
             eps = ratio * scales.eps_th
-            rep = variance_steady(params, scales, eps, regime="below")
+            rep = variance_steady(params, scales, eps)
             assert rep.V == pytest.approx(1 - eps / (eps + g), abs=1e-6)
             assert rep.V_plus == pytest.approx(rep.V, abs=1e-6)
             assert rep.V_minus == pytest.approx(rep.V, abs=1e-6)
 
-    def test_regime_error(self, standard):
-        params, scales = standard
-        with pytest.raises(RegimeError):
-            variance_steady(params, scales, scales.eps_th, regime="below")
-
     def test_near_threshold_flagged(self, standard):
         params, scales = standard
-        assert variance_steady(params, scales, 0.97 * scales.eps_th, regime="below").flag \
+        assert variance_steady(params, scales, 0.97 * scales.eps_th).flag \
             == "linearization-unreliable"
-        assert variance_steady(params, scales, 0.5 * scales.eps_th, regime="below").flag == "ok"
+        assert variance_steady(params, scales, 0.5 * scales.eps_th).flag == "ok"
 
     def test_inseparable_below_threshold_when_mixing_small(self):
         params, scales = make_system(delta=3.0, chi=0.5)
         for ratio in np.linspace(0.05, 0.93, 15):
-            rep = variance_steady(params, scales, ratio * scales.eps_th, regime="below")
+            rep = variance_steady(params, scales, ratio * scales.eps_th)
             assert 0.5 <= rep.V < 1.0
 
 
@@ -178,12 +173,12 @@ FIGURE3_SETS = ((0.1, 10.0), (0.5, 3.0), (0.5, 1.0))
 class TestVarianceAbove:
     def test_threshold_value(self):
         params, scales = make_system(delta=10.0, chi=0.1)
-        rep = variance_steady(params, scales, scales.eps_th * (1 + 1e-12), regime="above")
+        rep = variance_steady(params, scales, scales.eps_th * (1 + 1e-12))
         assert rep.V == pytest.approx(0.5025, abs=1e-6)
 
     def test_asymptote(self, standard):
         params, scales = standard
-        rep = variance_steady(params, scales, 100 * scales.eps_th, regime="above")
+        rep = variance_steady(params, scales, 100 * scales.eps_th)
         assert rep.V == pytest.approx(0.75 + 0.5 / 12, abs=1e-3)
 
     @pytest.mark.parametrize("delta", [3.0, -3.0])
@@ -195,7 +190,7 @@ class TestVarianceAbove:
         pinned = 0.5 + chi / (2 * ad)
         for ratio in (1.2, 1.7, 3.0):
             _, _, eps = at_ratio(params, scales, ratio)
-            rep = variance_steady(params, scales, eps, delta_theta=0.0, regime="above")
+            rep = variance_steady(params, scales, eps, delta_theta=0.0)
             w = math.sqrt(1 + (eps**2 - scales.eps_th**2))
             rising = 1 - 1 / (2 * w)
             if delta > 0:
@@ -210,7 +205,7 @@ class TestVarianceAbove:
             params, scales = make_system(delta=delta, chi=chi)
             for ratio in (1.0 + 1e-9, 1.3, 2.0, 5.0):
                 _, _, eps = at_ratio(params, scales, ratio)
-                rep = variance_steady(params, scales, eps, delta_theta=0.0, regime="above")
+                rep = variance_steady(params, scales, eps, delta_theta=0.0)
                 w = math.sqrt(1 + (eps**2 - scales.eps_th**2))
                 expected = (abs(delta) + chi) / (4 * abs(delta)) * (2 - 1 / w)
                 assert rep.product == pytest.approx(expected, rel=1e-10)
@@ -224,7 +219,7 @@ class TestVarianceAbove:
             params, scales = make_system(delta=delta)
             for ratio in (1.5, 3.0):
                 _, _, eps = at_ratio(params, scales, ratio)
-                closed = variance_steady(params, scales, eps, delta_theta=0.0, regime="above")
+                closed = variance_steady(params, scales, eps, delta_theta=0.0)
                 moments = moments_above(params, scales, eps)
                 sigma = -steady_state(params, scales, eps, "+").phase_sum
                 ang = QuadratureAngles.from_sums(sigma, 0.0)
@@ -282,32 +277,30 @@ class TestVarianceAbove:
     def test_regime_and_singular_errors(self, standard):
         params, scales = standard
         with pytest.raises(RegimeError):
-            variance_steady(params, scales, 0.5 * scales.eps_th, regime="above")
+            moments_above(params, scales, 0.5 * scales.eps_th)
         zero_det, zd = make_system(delta=0.0, chi=0.5)
         with pytest.raises(SingularParameterError):
-            variance_steady(zero_det, zd, 2 * zd.eps_th, regime="above")
+            variance_steady(zero_det, zd, 2 * zd.eps_th)
 
     def test_sum_stays_below_one_above_half(self, standard):
         params, scales = standard
         for ratio in np.linspace(1.07, 10.0, 25):
-            rep = variance_steady(params, scales, ratio * scales.eps_th, regime="above")
+            rep = variance_steady(params, scales, ratio * scales.eps_th)
             assert 0.5 <= rep.V < 1.0
 
 
 class TestVarianceSteadyDispatch:
     def test_auto_selects_by_regime(self, standard):
+        # the hand-off sits a relative 1e-9 below threshold: just short of it the
+        # below-threshold kernel serves the pump, just past it the above-threshold one
         params, scales = standard
-        below = variance_steady(params, scales, 0.5 * scales.eps_th)
-        above = variance_steady(params, scales, 1.5 * scales.eps_th)
-        assert below.V == variance_steady(params, scales, 0.5 * scales.eps_th, regime="below").V
-        assert above.V == variance_steady(params, scales, 1.5 * scales.eps_th, regime="above").V
-
-    def test_explicit_regime_mismatch_raises(self, standard):
-        params, scales = standard
-        with pytest.raises(RegimeError):
-            variance_steady(params, scales, 1.5 * scales.eps_th, regime="below")
-        with pytest.raises(RegimeError):
-            variance_steady(params, scales, 0.5 * scales.eps_th, regime="above")
+        for ratio, columns in ((1 - 2e-9, entanglement._below_columns),
+                               (1 - 5e-10, entanglement._above_columns)):
+            eps = np.array([ratio * scales.eps_th])
+            sweep = variance_sweep(params, scales, eps, 0.4)
+            expected = columns(params, scales, eps, 0.4)
+            assert [getattr(sweep, name).tobytes() for name in COLUMNS] == [
+                np.asarray(value).tobytes() for value in expected], ratio
 
 
 FIGURE_GRID = np.arange(0.01, 3.0 + 1e-9, 0.005)
@@ -375,16 +368,17 @@ class TestVarianceSweep:
     def test_non_finite_difference_angle_refused(self, standard, angle):
         params, scales = standard
         eps = np.array([0.5, 1.5]) * scales.eps_th
-        for regime, points in (("below", eps[:1]), ("above", eps[1:]), ("auto", eps)):
+        for points in (eps[:1], eps[1:], eps):
             with pytest.raises(ParameterDomainError, match="delta_theta must be finite"):
-                variance_sweep(params, scales, points, angle, regime)
-        for regime, point in (("auto", eps[0]), ("below", eps[0]), ("above", eps[1])):
+                variance_sweep(params, scales, points, angle)
+        for point in eps:
             with pytest.raises(ParameterDomainError, match="delta_theta must be finite"):
-                variance_steady(params, scales, point, angle, regime)
+                variance_steady(params, scales, point, angle)
 
     def test_single_point_evaluators_are_views(self, standard):
         params, scales = standard
-        eps = np.array([0.0, 0.4, 0.97, 1 - 1e-10, 1.0, 1.02, 2.5]) * scales.eps_th
+        ratios = np.array([0.0, 0.4, 0.97, 1 - 2e-9, 1 - 5e-10, 1 - 1e-10, 1.0, 1.02, 2.5])
+        eps = ratios * scales.eps_th
         sweep = variance_sweep(params, scales, eps, 0.4)
         for i, e in enumerate(eps):
             rep = variance_steady(params, scales, e, 0.4)
@@ -394,32 +388,26 @@ class TestVarianceSweep:
             assert rep.angles.sigma_theta == pytest.approx(sweep.sigma_theta[i], abs=1e-15)
             assert rep.angles.delta_theta == pytest.approx(0.4, abs=1e-15)
             assert rep.angles.degenerate is (e == 0)
-            single = variance_steady(params, scales, e, 0.4,
-                                     "below" if e < scales.eps_th * (1 - 1e-9) else "above")
-            assert single == rep
+            # the side of the hand-off picks the kernel, also for a single pump
+            kernel = (entanglement._below_columns if ratios[i] < 1 - 1e-9
+                      else entanglement._above_columns)
+            columns = kernel(params, scales, np.array([e]), 0.4)
+            assert (rep.V, rep.R, rep.V_plus, rep.V_minus, rep.product) == tuple(
+                float(np.asarray(value)[0]) for value in columns[:5]), ratios[i]
 
-    @pytest.mark.parametrize("regime", ["above", "auto"])
-    def test_asymmetric_parameters_refused_above_threshold(self, regime):
+    def test_asymmetric_parameters_refused_above_threshold(self):
         params = SystemParams(gamma2=1.5, delta1=2.0, delta2=3.0, chi=1.5)
         scales = derive_scales(params)
         assert locking_feasible(params)
         with pytest.raises(ParameterDomainError, match="implemented for symmetric parameters"):
-            variance_sweep(params, scales, 2 * scales.eps_th, regime=regime)
+            variance_sweep(params, scales, 2 * scales.eps_th)
 
     def test_locked_phase_needs_nonlinearity(self):
         params, scales = make_system(lam=0.0)
         with pytest.raises(ParameterDomainError, match="lam must be positive"):
-            variance_sweep(params, scales, 2 * scales.eps_th, regime="above")
+            variance_sweep(params, scales, 2 * scales.eps_th)
 
-    def test_regime_checks_cover_every_point(self, standard):
-        params, scales = standard
-        eps = np.array([0.5, 0.9, 1.2]) * scales.eps_th
-        with pytest.raises(RegimeError, match="below-threshold range"):
-            variance_sweep(params, scales, eps, regime="below")
-        with pytest.raises(RegimeError, match="below threshold"):
-            variance_sweep(params, scales, eps, regime="above")
-        with pytest.raises(ParameterDomainError, match="unknown regime"):
-            variance_sweep(params, scales, eps, regime="sideways")
+    def test_regime_checks_cover_every_point(self):
         # a sweep that stays below threshold never needs the locked state
         zero_det, zd = make_system(delta=0.0, chi=0.5)
         assert variance_sweep(zero_det, zd, [0.5 * zd.eps_th]).V[0] < 1
