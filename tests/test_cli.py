@@ -150,6 +150,25 @@ class TestVarianceCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("inputs, sweep", [
+        (["--chi", "1", "--delta", "3", "--eps-over-chi", "2"], "eps_ratio:0.25:1.75:0.5"),
+        (["--chi", "0.5", "--delta", "3", "--eps-ratio", "0.5"], "chi_t:0:1:0.5")],
+        ids=["unitary_over_eps_ratio", "steady_over_chi_t"])
+    def test_sweep_variable_must_match_regime(self, capsys, inputs, sweep):
+        # the sweep variable picks the regime, whatever the other inputs were written for
+        assert main(["variance", *inputs, "--sweep", sweep, "--output", "-"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        var, grid = parse_sweep(sweep)
+        params, scales = cli.build_params(
+            {flag[2:].replace("-", "_"): float(value) for flag, value in zip(inputs[::2], inputs[1::2])})
+        if var == "chi_t":
+            expected = nopolock.unitary_variance(params.chi, scales.eps, grid / params.chi, 0.0)
+        else:
+            expected = nopolock.variance_sweep(params, scales, grid * scales.eps_th, 0.0).V
+        rows = out.out.splitlines()[-grid.size:]
+        assert [row.split(",")[1] for row in rows] == [fmt(v) for v in expected]
+
     def test_unknown_sweep_variable_refused(self, tmp_path, capsys):
         code = main(["variance", "--chi", "0.5", "--delta", "3", "--eps-ratio", "0.5",
                      "--sweep", "x:0:1:0.5", "--outdir", str(tmp_path)])

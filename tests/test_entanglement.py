@@ -395,12 +395,15 @@ class TestVarianceSweep:
             assert (rep.V, rep.R, rep.V_plus, rep.V_minus, rep.product) == tuple(
                 float(np.asarray(value)[0]) for value in columns[:5]), ratios[i]
 
-    def test_asymmetric_parameters_refused_above_threshold(self):
+    @pytest.mark.parametrize("regime", ["above", "auto"])
+    def test_asymmetric_parameters_refused_above_threshold(self, regime):
+        # "above": a sweep wholly above threshold; "auto": one pump, routed by its side
         params = SystemParams(gamma2=1.5, delta1=2.0, delta2=3.0, chi=1.5)
         scales = derive_scales(params)
         assert locking_feasible(params)
+        entry = variance_sweep if regime == "above" else variance_steady
         with pytest.raises(ParameterDomainError, match="implemented for symmetric parameters"):
-            variance_sweep(params, scales, 2 * scales.eps_th)
+            entry(params, scales, 2 * scales.eps_th)
 
     def test_locked_phase_needs_nonlinearity(self):
         params, scales = make_system(lam=0.0)
