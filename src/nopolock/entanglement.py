@@ -26,18 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, RegimeError, SingularParameterError
-from .fluctuations import (_require_symmetric, above_matrices, equal_time_corr_below,
-                           equal_time_corr_below_stack, near_threshold)
+from .fluctuations import (_below_factors, _require_symmetric, above_matrices,
+                           equal_time_corr_below, equal_time_corr_below_stack, near_threshold)
 from .params import DerivedScales, QuadratureAngles, SystemParams, wrap_angle
 from .steady import _checked, _locked_family
 
 FLAG_OK = "ok"
 FLAG_NEAR_THRESHOLD = "linearization-unreliable"
-
-#: within this relative distance of threshold the below-threshold closed
-#: forms lose all floating-point precision to cancellation; the threshold
-#: limit is served exactly by the above-threshold evaluator instead
-_THRESHOLD_HANDOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,8 @@ class VarianceSweep:
 
     ``sigma_theta`` is the sum angle each point is evaluated at: the
     minimizing angle below threshold (0 where it is free, at ``eps = 0``),
-    the locked mean-field phase sum above.  ``flag`` holds
+    the locked mean-field phase sum above, and at threshold the limit of both,
+    ``atan2(sign(delta) (|delta| - chi), gamma)``.  ``flag`` holds
     :data:`FLAG_OK` or :data:`FLAG_NEAR_THRESHOLD` per point.
     """
 
@@ -188,72 +184,71 @@ def variance_sweep(params: SystemParams, scales: DerivedScales, eps: np.ndarray 
                    delta_theta: float = 0.0) -> VarianceSweep:
     """Steady-state variances at every pump rate of the 1-D array ``eps``.
 
-    Each pump's side of threshold picks its regime.  The hand-off band a
-    relative :data:`_THRESHOLD_HANDOFF` below threshold is served by the
-    above-threshold closed forms, which are exact at the (continuous)
-    threshold limit.  Each regime is one batched pass, and every runtime
-    check of the single-pump evaluators runs on every pump: below threshold
-    the closed forms against ``(1/2) F^-1 D``, above it the classical-state
-    and drift-residual checks of the locked state.  No stability eigenvalue
-    is solved: nothing here reads one.
+    ``eps < eps_th`` picks the below-threshold closed forms, any other pump the
+    locked ones: each side gives ``(V, R, sigma_theta)`` in one batched pass, exact up
+    to threshold, and runs its runtime checks on every pump they cover.
     """
     if not math.isfinite(delta_theta):
         raise ParameterDomainError(f"delta_theta must be finite, got {delta_theta!r}")
     eps = np.atleast_1d(_checked("eps", eps))
-    below = eps < scales.eps_th * (1 - _THRESHOLD_HANDOFF)
-    columns = np.empty((6,) + eps.shape)
+    below = eps < scales.eps_th
+    columns = np.empty((3,) + eps.shape)
     if below.any():
-        columns[:, below] = _below_columns(params, scales, eps[below], delta_theta)
+        columns[:, below] = _below_columns(params, scales, eps[below])
     if not below.all():
-        columns[:, ~below] = _above_columns(params, scales, eps[~below], delta_theta)
+        columns[:, ~below] = _above_columns(params, scales, eps[~below])
+    V, R, sigma = columns
+    V_plus, V_minus = V + R * math.cos(delta_theta), V - R * math.cos(delta_theta)
     flag = np.where(near_threshold(scales, eps), FLAG_NEAR_THRESHOLD, FLAG_OK)
-    return VarianceSweep(*columns, flag)
+    return VarianceSweep(V, R, V_plus, V_minus, V_plus * V_minus, sigma, flag)
 
 
-def _below_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
-                   delta_theta: float) -> tuple:
-    """Minimized-angle variances below threshold; the rows of :class:`VarianceSweep`.
+def _below_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray) -> tuple:
+    """Minimized-angle ``(V, R, sigma_theta)`` below threshold, none cancelling up to it::
 
-    :func:`variance_sweep` routes here only pumps a relative
-    :data:`_THRESHOLD_HANDOFF` short of threshold: closer in, the correlator
-    denominators cancel to roundoff and the (finite, continuous) variance
-    limits are taken from the above-threshold closed forms instead.
+        V = 1 - eps (g2e + delta^2) / (eps s2 + Q),   Q = hypot(gamma s2, delta u)
+        R = eps chi delta (u^2 + 4 gamma^2 chi^2) / (Q (2 eps Q - P)),   P = u v - 2 gamma^2 s2
+        sigma_theta = atan2(delta u, gamma s2)   (0 at eps = 0, where it is free)
+
+    in the factors of :func:`~nopolock.fluctuations._below_factors`; ``P < 0``.  Up to
+    0.999 eps_th they are checked against the correlators to ``1e-12 (1 + 2n)``.
     """
-    corr_aa, corr_ab = equal_time_corr_below_stack(params, scales, eps)
-    n, m_aa = corr_ab[:, 0, 0].real, corr_aa[:, 0, 1]
-    # sigma_theta = -arg <a1 a2>; free (taken as 0) where the pair moment vanishes
-    sigma = np.where(m_aa != 0, wrap_angle(-np.angle(m_aa)), 0.0)
-    return (*_variances(n, m_aa, corr_aa[:, 0, 0], corr_ab[:, 1, 0], sigma, delta_theta),
-            sigma)
+    gamma, delta, chi = _require_symmetric(params)
+    _, s2, u, v = _below_factors(params, eps)
+    Q = np.hypot(gamma * s2, delta * u)
+    V = 1 - eps * (s2 + u) / (2 * (eps * s2 + Q))  # (s2 + u) / 2 = g2e + delta^2
+    R = (eps * chi * delta * (u**2 + 4 * (gamma * chi)**2)
+         / (Q * (2 * eps * Q - (u * v - 2 * gamma**2 * s2))))
+    sigma = np.where(eps > 0, np.arctan2(delta * u, gamma * s2), 0.0)
+    far = eps <= 0.999 * scales.eps_th
+    corr_aa, corr_ab = equal_time_corr_below_stack(params, scales, eps[far])
+    n = corr_ab[:, 0, 0].real
+    V_ref, R_ref, *_ = _variances(n, corr_aa[:, 0, 1], corr_aa[:, 0, 0], corr_ab[:, 1, 0],
+                                  sigma[far], 0.0)
+    err = np.maximum(abs(V[far] - V_ref), abs(R[far] - R_ref)) / (1 + 2 * n)
+    if (err > 1e-12).any():
+        raise AssertionError(f"closed-form and correlator variances disagree by {err.max():.3e}"
+                             f" (1 + 2n) at eps = {eps[far][err.argmax()]:.6g}")
+    return V, R, sigma
 
 
-def _above_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray,
-                   delta_theta: float) -> tuple:
-    """Variances in the locked above-threshold regime (closed forms).
-
-    The local-oscillator sum angle is locked to the semiclassical phase
-    sum.  The closed forms stay finite arbitrarily close to threshold: the
-    divergences of individual correlation entries cancel in ``V`` and
-    ``V_pm``.
-    """
+def _above_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray) -> tuple:
+    """Locked-regime ``(V, R, sigma_theta)`` (closed forms), the sum angle locked to the
+    phase sum; at ``eps = eps_th``, where no locked state is lit, the limit of both sides."""
     gamma, delta, chi = _require_symmetric(params)
     if delta == 0:
         raise SingularParameterError(
             "above-threshold variances divide by |delta|; delta = 0 is singular")
-
-    ad = abs(delta)
-    w = np.sqrt(1 + np.maximum(0.0, eps**2 - scales.eps_th**2) / gamma**2)
+    ad, sg = abs(delta), math.copysign(1.0, delta)
+    w = np.sqrt(1 + (eps**2 - scales.eps_th**2) / gamma**2)
     V = 0.75 - 1 / (4 * w) + chi / (4 * ad)
-    R = math.copysign(1.0, delta) / 4 * (1 / w - (ad - chi) / ad)
-    V_plus = V + R * math.cos(delta_theta)
-    V_minus = V - R * math.cos(delta_theta)
-
-    sigma = np.zeros(eps.shape)
+    R = sg / 4 * (1 / w - (ad - chi) / ad)
+    sigma = np.full(eps.shape, math.atan2(sg * (ad - chi), gamma))
     over = eps > scales.eps_th
     if over.any():
         phase_sum, *_ = _locked_family(params, scales, eps[over], "+")
         sigma[over] = wrap_angle(-phase_sum)
-    return V, R, V_plus, V_minus, V_plus * V_minus, sigma
+    return V, R, sigma
 
 
 def variance_steady(params: SystemParams, scales: DerivedScales, eps: float,

@@ -96,26 +96,32 @@ def _below_matrix_stacks(params: SystemParams, scales: DerivedScales,
     return F, D
 
 
+def _below_factors(params: SystemParams, eps: np.ndarray) -> tuple:
+    """``(lo, s2, u, v) = g2e + ((chi - a)^2, chi^2 + a^2, -cd, cd)`` at the pumps ``eps``.
+
+    ``a = |delta|``, ``g2e = gamma^2 - eps^2``, ``cd = chi^2 - a^2``.  ``lo``, zero at
+    threshold, is ``(th - eps)(th + eps) + r``, ``th = eps_th``, with ``r = gamma^2 + (chi
+    - a)^2 - th^2`` rounded once from exact arithmetic; the rest add one term to ``lo``.
+    """
+    from fractions import Fraction  # exact r, once per call; not loaded by import
+    gamma, chi, ad = params.gamma1, params.chi, abs(params.delta1)
+    th = math.hypot(chi - ad, gamma)  # eps_th, as derive_scales forms it
+    lo = (th - eps) * (th + eps) + float(
+        Fraction(gamma)**2 + (Fraction(chi) - Fraction(ad))**2 - Fraction(th)**2)
+    return lo, lo + 2 * chi * ad, lo - 2 * chi * (chi - ad), lo - 2 * ad * (ad - chi)
+
+
 def _corr_closed_below(params: SystemParams,
                        eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form ``<d_alpha d_alpha^T>``/``<d_alpha d_beta^T>`` stacks ``(n, 2, 2)``.
-
-    ``s2^2 - 4 delta^2 chi^2`` (``s2 = gamma^2 + chi^2 + delta^2 - eps^2``), ``gamma^2 -
-    eps^2`` and ``chi^2 - delta^2`` are formed as products of differences, which
-    do not cancel near ``chi = |delta|`` or near threshold.
-    """
+    """Closed-form ``<d_alpha d_alpha^T>``/``<d_alpha d_beta^T>`` stacks ``(n, 2, 2)``, in
+    the factors of :func:`_below_factors`, which do not cancel up to threshold."""
     gamma, delta, chi = params.gamma1, params.delta1, params.chi
-    ad = abs(delta)
-    g2e, cd = (gamma - eps) * (gamma + eps), (chi - ad) * (chi + ad)
-    lo = g2e + (chi - ad)**2  # the factor of den that vanishes at threshold
-    s2 = lo + 2 * chi * ad
-    den = lo * (g2e + (chi + ad)**2)
+    lo, s2, u, v = _below_factors(params, eps)
+    den = lo * (lo + 4 * chi * abs(delta))  # s2^2 - 4 delta^2 chi^2
     scale_aa, scale_ab = eps / (2 * den), eps**2 / (2 * den)
     corr_aa = np.empty((eps.size, 2, 2), dtype=complex)
-    corr_aa[:, 0, 0] = corr_aa[:, 1, 1] = scale_aa * (
-        gamma * (-2 * chi * delta) - 1j * (chi * (g2e + cd)))
-    corr_aa[:, 0, 1] = corr_aa[:, 1, 0] = scale_aa * (
-        gamma * s2 - 1j * (delta * (g2e - cd)))
+    corr_aa[:, 0, 0] = corr_aa[:, 1, 1] = scale_aa * (gamma * (-2 * chi * delta) - 1j * (chi * v))
+    corr_aa[:, 0, 1] = corr_aa[:, 1, 0] = scale_aa * (gamma * s2 - 1j * (delta * u))
     corr_ab = np.empty((eps.size, 2, 2), dtype=complex)
     corr_ab[:, 0, 0] = corr_ab[:, 1, 1] = scale_ab * s2
     corr_ab[:, 0, 1] = corr_ab[:, 1, 0] = scale_ab * (-2 * chi * delta)

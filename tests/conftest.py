@@ -44,3 +44,8 @@ EPS_TH_STANDARD = math.sqrt(7.25)  # gamma=1, delta=3, chi=0.5
 #: below-threshold closed forms cancel
 CHI_NEAR_DELTA = ((10.0, 10.0), (100.0, 100.0), (1e3, 1e3), (1e4, 1e4),
                   (50.0, 49.0), (1e3, 999.0))
+
+#: (chi, delta) with chi = 0, delta = 0, chi = |delta| and delta < 0 among them
+#: (gamma = 1), where the below-threshold closed forms must not cancel up to threshold
+THRESHOLD_SETS = ((0.0, 3.0), (0.5, 0.0), (0.5, 3.0), (0.5, -3.0), (0.1, 10.0),
+                  (2.0, 0.5), (1.0, 1.0), (1.0, -1.0), (50.0, -49.0))

@@ -2,6 +2,8 @@ import cmath
 import math
 import re
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from nopolock import entanglement, fluctuations, steady
 from nopolock.entanglement import unitary_period
 from nopolock.steady import steady_state
 
-from conftest import CHI_NEAR_DELTA, assert_close, at_ratio, make_system
+from conftest import CHI_NEAR_DELTA, THRESHOLD_SETS, assert_close, at_ratio, make_system
 
 
 def eq54_variance(gamma, delta, chi, eps):
@@ -39,6 +41,34 @@ def eq55_magnitude(gamma, delta, chi, eps):
     w = math.sqrt(gamma**2 * s2**2 + delta**2 * (s2 - 2 * chi**2) ** 2)
     bracket = (eps**4 - (gamma**2 + (delta - chi)**2) * (gamma**2 + (delta + chi)**2))
     return eps * chi * delta / den * (bracket / w + 2 * eps)
+
+
+def exact_variances(gamma, delta, chi, eps, eps_th):
+    """``(V, R)`` of :func:`variance_sweep` in exact arithmetic at the float inputs.
+
+    Below threshold from the unfactored correlators: ``V = 1 + 2n - 2|<a1 a2>|``
+    and ``R = 2 <a1+ a2> - 2 Re(<a1^2> conj <a1 a2>) / |<a1 a2>|``.  Above it from
+    the closed forms in ``w`` at the float ``eps_th``.  Only the square roots are
+    rounded, to 60 digits.
+    """
+    def root(x):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            return Fraction((Decimal(x.numerator) / Decimal(x.denominator)).sqrt())
+
+    g, d, c, e = map(Fraction, (gamma, delta, chi, eps))
+    if eps >= eps_th:
+        w = root(1 + (e**2 - Fraction(eps_th)**2) / g**2)
+        return (Fraction(3, 4) - 1 / (4 * w) + c / (4 * abs(d)),
+                (1 if delta > 0 else -1) * (1 / w - (abs(d) - c) / abs(d)) / 4)
+    s2 = g**2 + c**2 + d**2 - e**2
+    den = 2 * (s2**2 - 4 * d**2 * c**2)
+    aa_re, aa_im = e * g * s2 / den, -e * d * (s2 - 2 * c**2) / den  # <a1 a2>
+    sq_re, sq_im = -2 * e * g * c * d / den, -e * c * (s2 - 2 * d**2) / den  # <a1^2>
+    mod = root(aa_re**2 + aa_im**2)
+    V = 1 + 2 * e**2 * s2 / den - 2 * mod
+    return V, (-4 * e**2 * c * d / den - 2 * (sq_re * aa_re + sq_im * aa_im) / mod
+               if mod else Fraction(0))
 
 
 class TestVariancesFromMoments:
@@ -291,16 +321,35 @@ class TestVarianceAbove:
 
 class TestVarianceSteadyDispatch:
     def test_auto_selects_by_regime(self, standard):
-        # the hand-off sits a relative 1e-9 below threshold: just short of it the
-        # below-threshold kernel serves the pump, just past it the above-threshold one
+        # the split sits at eps_th itself: the last pump short of it is served by the
+        # below-threshold kernel, threshold and the pump past it by the locked one
         params, scales = standard
-        for ratio, columns in ((1 - 2e-9, entanglement._below_columns),
-                               (1 - 5e-10, entanglement._above_columns)):
-            eps = np.array([ratio * scales.eps_th])
+        th = scales.eps_th
+        for e, kernel in ((np.nextafter(th, 0), entanglement._below_columns),
+                          (th, entanglement._above_columns),
+                          (np.nextafter(th, 2 * th), entanglement._above_columns)):
+            eps = np.array([e])
             sweep = variance_sweep(params, scales, eps, 0.4)
-            expected = columns(params, scales, eps, 0.4)
+            V, R, sigma = kernel(params, scales, eps)
+            V_plus, V_minus = V + R * math.cos(0.4), V - R * math.cos(0.4)
             assert [getattr(sweep, name).tobytes() for name in COLUMNS] == [
-                np.asarray(value).tobytes() for value in expected], ratio
+                np.asarray(value).tobytes()
+                for value in (V, R, V_plus, V_minus, V_plus * V_minus, sigma)], e
+
+    @pytest.mark.parametrize("chi, delta", [(0.1, 10.0), (0.5, 3.0), (0.5, 1.0), (0.5, -3.0),
+                                            (2.0, 0.5), (1.0, 1.0), (50.0, 49.0)])
+    def test_continuous_at_threshold(self, chi, delta):
+        # both sides meet at V = 1/2 + chi/(4|delta|) and R = sign(delta) chi/(4|delta|).
+        # V and R move linearly in the distance to threshold, with slopes that grow
+        # with eps_th^2 / gamma^2 (and with chi/|delta|: up to 0.62 of the bound here)
+        params, scales = make_system(delta=delta, chi=chi)
+        sweep = variance_sweep(params, scales, np.array([1 - 1e-12, 1, 1 + 1e-12]) * scales.eps_th)
+        bound = 2e-12 * scales.eps_th**2 / params.gamma1**2
+        limit = chi / (4 * abs(delta))
+        assert np.abs(sweep.V - 0.5 - limit).max() <= bound, sweep.V
+        assert np.abs(sweep.R - math.copysign(limit, delta)).max() <= bound, sweep.R
+        # at threshold itself no locked state is lit: the sum angle is the limit of both sides
+        assert np.abs(sweep.sigma_theta - sweep.sigma_theta[1]).max() <= 1e-9, sweep.sigma_theta
 
 
 FIGURE_GRID = np.arange(0.01, 3.0 + 1e-9, 0.005)
@@ -312,7 +361,9 @@ def point_reference(params, scales, eps, delta_theta):
 
     Below threshold: the generic ``(1/2) F^-1 D`` covariance, the minimizing
     angle and :func:`variances_from_moments`.  Above: the closed forms in
-    ``w`` with the sum angle locked to ``steady_state(...).phase_sum``.
+    ``w`` with the sum angle locked to ``steady_state(...).phase_sum``.  The
+    generic solve loses digits near threshold, so the reference takes the
+    threshold values from the second route already a relative 1e-9 short of it.
     """
     if eps < scales.eps_th * (1 - 1e-9):
         C4 = stationary_covariance_below(params, scales, eps)
@@ -329,8 +380,10 @@ def point_reference(params, scales, eps, delta_theta):
         R = math.copysign(1.0, delta) / 4 * (1 / w - (ad - chi) / ad)
         vp, vm = V + R * math.cos(delta_theta), V - R * math.cos(delta_theta)
         values = (V, R, vp, vm, vp * vm)
+        # at threshold, and in this reference's band short of it, the limit of both sides
         sigma = (wrap_angle(-steady_state(params, scales, eps, "+").phase_sum)
-                 if eps > scales.eps_th else 0.0)
+                 if eps > scales.eps_th
+                 else math.atan2(math.copysign(1.0, delta) * (ad - chi), params.gamma1))
     flag = "linearization-unreliable" if abs(eps / scales.eps_th - 1) < 0.05 else "ok"
     return dict(zip(COLUMNS, values + (sigma,))), flag
 
@@ -377,7 +430,8 @@ class TestVarianceSweep:
 
     def test_single_point_evaluators_are_views(self, standard):
         params, scales = standard
-        ratios = np.array([0.0, 0.4, 0.97, 1 - 2e-9, 1 - 5e-10, 1 - 1e-10, 1.0, 1.02, 2.5])
+        ratios = np.array([0.0, 0.4, 0.97, 1 - 2e-9, 1 - 5e-10, 1 - 1e-12, 1.0, 1 + 1e-12,
+                           1.02, 2.5])
         eps = ratios * scales.eps_th
         sweep = variance_sweep(params, scales, eps, 0.4)
         for i, e in enumerate(eps):
@@ -388,12 +442,14 @@ class TestVarianceSweep:
             assert rep.angles.sigma_theta == pytest.approx(sweep.sigma_theta[i], abs=1e-15)
             assert rep.angles.delta_theta == pytest.approx(0.4, abs=1e-15)
             assert rep.angles.degenerate is (e == 0)
-            # the side of the hand-off picks the kernel, also for a single pump
-            kernel = (entanglement._below_columns if ratios[i] < 1 - 1e-9
+            # the side of threshold picks the kernel, also for a single pump
+            kernel = (entanglement._below_columns if e < scales.eps_th
                       else entanglement._above_columns)
-            columns = kernel(params, scales, np.array([e]), 0.4)
-            assert (rep.V, rep.R, rep.V_plus, rep.V_minus, rep.product) == tuple(
-                float(np.asarray(value)[0]) for value in columns[:5]), ratios[i]
+            V, R, sigma = (float(value[0]) for value in kernel(params, scales, np.array([e])))
+            V_plus, V_minus = V + R * math.cos(0.4), V - R * math.cos(0.4)
+            assert (rep.V, rep.R, rep.V_plus, rep.V_minus, rep.product) == (
+                V, R, V_plus, V_minus, V_plus * V_minus), ratios[i]
+            assert rep.angles.sigma_theta == pytest.approx(sigma, abs=1e-15)
 
     @pytest.mark.parametrize("regime", ["above", "auto"])
     def test_asymmetric_parameters_refused_above_threshold(self, regime):
@@ -436,6 +492,37 @@ class TestVarianceSweep:
         perturb_output(monkeypatch, fluctuations, "_corr_closed_below", shift_closed_form)
         with pytest.raises(AssertionError, match="disagree"):
             variance_sweep(params, scales, eps)
+
+    @pytest.mark.parametrize("index", [0, 99, 197])
+    def test_variance_guard_fires_at_one_point(self, standard, monkeypatch, index):
+        # the 198 pumps up to 0.995 eps_th are checked against the correlators
+        params, scales = standard
+        eps = FIGURE_GRID * scales.eps_th
+
+        def shift_correlators(out):
+            out[0][index] *= 1 + 1e-9
+
+        perturb_output(monkeypatch, entanglement, "equal_time_corr_below_stack",
+                       shift_correlators)
+        with pytest.raises(AssertionError, match="variances disagree"):
+            variance_sweep(params, scales, eps)
+
+    @pytest.mark.parametrize("chi, delta", THRESHOLD_SETS)
+    def test_exact_to_threshold_on_both_sides(self, chi, delta):
+        # 1e-14 relative, or absolute where R = 0.  Above threshold eps^2 - eps_th^2
+        # rounds at the scale of eps_th^2, which moves V and R by up to
+        # 2^-52 eps_th^2 / (8 gamma^2) in absolute terms
+        params, scales = make_system(delta=delta, chi=chi)
+        h = np.array([0.5, 1e-3, 1e-6, 1e-9, 1e-12])
+        locks = chi > 0 and delta != 0  # a locked state exists above threshold
+        eps = np.concatenate([1 - h, 1 + h] if locks else [1 - h]) * scales.eps_th
+        sweep = variance_sweep(params, scales, eps)
+        for i, e in enumerate(eps):
+            above = 2.0**-52 * scales.eps_th**2 / 8 if e >= scales.eps_th else 0.0
+            for name, ref in zip(("V", "R"), exact_variances(1.0, delta, chi, e,
+                                                             scales.eps_th)):
+                tol = (1e-14 * abs(float(ref)) if ref else 1e-14) + above
+                assert abs(getattr(sweep, name)[i] - float(ref)) <= tol, (name, e / scales.eps_th)
 
     @pytest.mark.parametrize("index", [0, 200, 398])
     def test_drift_residual_guard_fires_at_one_point(self, standard, monkeypatch, index):
@@ -485,18 +572,18 @@ class TestVarianceSweep:
     def test_identities_and_continuity_across_threshold(self, chi, abs_delta, sign,
                                                         delta_theta):
         params, scales = make_system(delta=sign * abs_delta, chi=chi)
-        h = np.array([1e-4, 1e-7])
+        h = np.array([1e-4, 1e-7, 1e-10])
         ratios = np.concatenate([np.linspace(0.05, 0.95, 7), 1 - h, 1 + h,
                                  np.linspace(1.1, 20.0, 7)])
         sweep = variance_sweep(params, scales, ratios * scales.eps_th, delta_theta)
         np.testing.assert_allclose(sweep.V, (sweep.V_plus + sweep.V_minus) / 2,
                                    rtol=1e-12)
         np.testing.assert_array_equal(sweep.product, sweep.V_plus * sweep.V_minus)
-        # V and V+- reach threshold from both sides: the two-sided gap shrinks
-        # with the distance to threshold (linearly; 1000x here)
-        for column in (sweep.V, sweep.V_plus, sweep.V_minus):
-            wide, narrow = abs(column[7] - column[9]), abs(column[8] - column[10])
-            assert narrow <= 0.01 * wide + 1e-8
+        # V, V+- and the sum angle reach threshold from both sides: the two-sided
+        # gap shrinks with the distance to threshold (linearly; 1000x per step here)
+        for column in (sweep.V, sweep.V_plus, sweep.V_minus, sweep.sigma_theta):
+            gaps = np.abs(column[7:10] - column[10:13])
+            assert (gaps[1:] <= 0.01 * gaps[:-1] + 1e-8).all(), gaps
 
 
 class TestUnitary:

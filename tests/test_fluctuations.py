@@ -15,7 +15,7 @@ from nopolock import (ParameterDomainError, RegimeError, SingularParameterError,
                       temporal_corr_below)
 from nopolock.fluctuations import _lagged
 
-from conftest import CHI_NEAR_DELTA, at_ratio, make_system
+from conftest import CHI_NEAR_DELTA, THRESHOLD_SETS, at_ratio, make_system
 
 
 class TestBelowMatrices:
@@ -95,10 +95,10 @@ def exact_closed_form(gamma, delta, chi, eps):
 
 
 class TestEqualTimeBelow:
-    @pytest.mark.parametrize("chi, delta", CHI_NEAR_DELTA)
+    @pytest.mark.parametrize("chi, delta", CHI_NEAR_DELTA + THRESHOLD_SETS)
     def test_closed_forms_match_exact_arithmetic_near_chi_equal_delta(self, chi, delta):
         params, scales = make_system(delta=delta, chi=chi)
-        for ratio in (0.01, 0.5, 0.999):
+        for ratio in (0.01, 0.5, 0.999, 1 - 1e-6, 1 - 1e-9):
             eps = ratio * scales.eps_th
             aa, ab = equal_time_corr_below(params, scales, eps)
             for got, (re, im) in zip((aa[0, 0], aa[0, 1], ab[0, 0], ab[0, 1]),
