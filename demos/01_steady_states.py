@@ -10,8 +10,8 @@ twin shifted by pi in both phases.
 
 import numpy as np
 
-from nopolock import (SystemParams, critical_points, derive_scales,
-                      drift_residual, output_rates, replace_pump, steady_state)
+from nopolock import (SystemParams, critical_points, derive_scales, drift_field,
+                      output_rates, replace_pump, steady_state)
 
 params = SystemParams.symmetric(gamma=1.0, delta=3.0, chi=0.5, lam=1.0)
 scales = derive_scales(params)
@@ -35,7 +35,8 @@ twin = st.twin()
 print(f"\nat eps = 2 eps_th the locked phases come as a pi-shifted pair:")
 print(f"  representative ({st.phi10:+.4f}, {st.phi20:+.4f}), "
       f"twin ({twin.phi10:+.4f}, {twin.phi20:+.4f})")
-print(f"  drift residual of the twin: {drift_residual(p, s, eps, twin.state_vector()):.2e}")
+residual = np.abs(drift_field(twin.state_vector(), p, s)).max()
+print(f"  drift residual of the twin: {residual:.2e}")
 
 saddle = steady_state(p, s, eps, branch="-")
 print(f"\nthe upper family at the same pump is a saddle: "

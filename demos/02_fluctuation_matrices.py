@@ -22,7 +22,6 @@ mats = below_matrices(params, scales, eps)
 print("drift matrix F (block [[A, B], [B*, A*]]):")
 print(np.round(mats.F, 3))
 print(f"\nidentity |D F^T - F D|_max = {np.abs(mats.D @ mats.F.T - mats.F @ mats.D).max():.1e}")
-print(f"noise scalar s^2 = {mats.s_sq:.4f} (positive below threshold)")
 
 aa, ab = equal_time_corr_below(params, scales, eps)
 print(f"\n<da1 db1> = {ab[0, 0]:.6f}   (mean photon number "
@@ -43,6 +42,3 @@ print(f"  <(dn-)^2>   = {up.C_minus[0, 0]:+.4f}  (negative: anti-correlation "
       "beyond shot noise)")
 print(f"  <(dphi+)^2> = {up.C_plus[1, 1]:+.6f}")
 print(f"  <(dphi-)^2> = {up.C_minus[1, 1]:+.6f}")
-recon = 0.5 * np.linalg.solve(up.F_plus, up.D_plus)
-print(f"  covariance reconstruction |(1/2)F+^-1 D+ - C+|_max = "
-      f"{np.abs(recon - up.C_plus).max():.1e}")

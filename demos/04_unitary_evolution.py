@@ -6,16 +6,17 @@ period pi/sqrt(chi^2 - eps^2); when the parametric drive dominates
 V_min = chi / (eps + chi), reached at the times printed below.
 """
 
+import math
+
 import numpy as np
 
 from nopolock import unitary_minimum, unitary_variance
-from nopolock.entanglement import unitary_period
 
 chi = 1.0
 print("oscillatory regime (eps < chi):")
 for ratio in (0.1, 0.4, 0.7):
     t_min, v_min = unitary_minimum(chi, ratio * chi)
-    period = unitary_period(chi, ratio * chi)
+    period = math.pi / math.sqrt(chi**2 - (ratio * chi)**2)
     print(f"  eps/chi = {ratio:3.1f}: chi*t_min = {chi * t_min:.4f} "
           f"(+ k * {period:.4f}), V_min = {v_min:.4f} "
           f"= chi/(eps+chi) = {chi / (ratio * chi + chi):.4f}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError, RegimeError, SingularParameterError
+from .errors import ParameterDomainError, SingularParameterError
 from .fluctuations import (_below_factors, _require_symmetric, above_matrices,
                            equal_time_corr_below, equal_time_corr_below_stack, near_threshold)
 from .params import DerivedScales, QuadratureAngles, SystemParams, wrap_angle
@@ -39,8 +39,8 @@ FLAG_NEAR_THRESHOLD = "linearization-unreliable"
 class MomentSet:
     """Second-order moments from which all quadrature variances derive.
 
-    ``phi_arg`` caches ``arg <a1 a2>``; the single field ``m_a1sq`` stores
-    both single-mode squared moments, equal by the 1 <-> 2 symmetry.
+    The single field ``m_a1sq`` stores both single-mode squared moments,
+    equal by the 1 <-> 2 symmetry.
     """
 
     n: float
@@ -53,10 +53,6 @@ class MomentSet:
             raise ParameterDomainError(f"moments must be finite, got {self}")
         if self.n < -1e-12:
             raise ParameterDomainError(f"mean photon number must be >= 0, got {self.n}")
-
-    @property
-    def phi_arg(self) -> float:
-        return cmath.phase(self.m_aa) if self.m_aa != 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -127,18 +123,6 @@ def variances_from_moments(moments: MomentSet, angles: QuadratureAngles) -> Vari
     columns = _variances(moments.n, moments.m_aa, moments.m_a1sq, moments.m_cross,
                          angles.sigma_theta, angles.delta_theta)
     return _report(*columns, angles, FLAG_OK)
-
-
-def optimal_angle_sum(moments: MomentSet, params: SystemParams | None = None,
-                      delta_theta: float = 0.0) -> QuadratureAngles:
-    """Angle choice minimizing ``V``: ``sigma_theta = -arg <a1 a2>``.
-
-    A vanishing pair moment leaves the sum angle free; zero is returned
-    with the ``degenerate`` flag set.
-    """
-    if moments.m_aa == 0:
-        return QuadratureAngles.from_sums(0.0, delta_theta, params, degenerate=True)
-    return QuadratureAngles.from_sums(wrap_angle(-moments.phi_arg), delta_theta, params)
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +217,25 @@ def _below_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray)
 
 
 def _above_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray) -> tuple:
-    """Locked-regime ``(V, R, sigma_theta)`` (closed forms), the sum angle locked to the
-    phase sum; at ``eps = eps_th``, where no locked state is lit, the limit of both sides."""
+    """Locked-regime ``(V, R, sigma_theta)``, none cancelling near threshold::
+
+        V = 1/2 + chi / (4 |delta|) - k / 4,   R = sign(delta) (chi / |delta| + k) / 4
+        k = 1/w - 1 = lo / (gamma^2 w (w + 1)) <= 0,   w = sqrt(1 - lo / gamma^2)
+
+    with ``lo = -(eps^2 - eps_th^2)`` of :func:`~nopolock.fluctuations._below_factors`,
+    exact near threshold.  The sum angle is locked to the phase sum; at ``eps = eps_th``,
+    where no locked state is lit, it is the limit of both sides.
+    """
     gamma, delta, chi = _require_symmetric(params)
     if delta == 0:
         raise SingularParameterError(
             "above-threshold variances divide by |delta|; delta = 0 is singular")
     ad, sg = abs(delta), math.copysign(1.0, delta)
-    w = np.sqrt(1 + (eps**2 - scales.eps_th**2) / gamma**2)
-    V = 0.75 - 1 / (4 * w) + chi / (4 * ad)
-    R = sg / 4 * (1 / w - (ad - chi) / ad)
+    lo, *_ = _below_factors(params, eps)
+    w = np.sqrt(1 - lo / gamma**2)
+    k = lo / (gamma**2 * w * (w + 1))
+    V = 0.5 + chi / (4 * ad) - k / 4
+    R = sg / 4 * (chi / ad + k)
     sigma = np.full(eps.shape, math.atan2(sg * (ad - chi), gamma))
     over = eps > scales.eps_th
     if over.any():
@@ -335,11 +328,3 @@ def unitary_minimum(chi: float, eps: float) -> tuple[float, float]:
         t_min = math.log((eps + eta) / chi) / (2 * eta)
     return t_min, unitary_variance(chi, eps, t_min)
 
-
-def unitary_period(chi: float, eps: float) -> float:
-    """Period of ``V(t)`` in the oscillatory regime ``eps < chi``."""
-    _checked("chi", chi)
-    _checked("eps", eps)
-    if eps >= chi:
-        raise RegimeError("the variance is periodic only for eps < chi")
-    return math.pi / math.sqrt(chi**2 - eps**2)

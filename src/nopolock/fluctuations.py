@@ -10,8 +10,8 @@ identity ``D F^T = F D`` satisfied by this model (exactly, in floating point
 too: :func:`_below_matrix_stacks`).  Above threshold the
 number/phase deviations decouple into independent sum (+) and difference
 (-) pairs, each again a 2x2 linear Langevin system; their stationary
-covariances are evaluated from closed forms.  Lagged covariances use a
-closed-form 2x2 ``exp(-F tau)``, below threshold on the two 2x2 blocks that
+covariances are evaluated from closed forms.  The lagged covariance below
+threshold uses a closed-form 2x2 ``exp(-F tau)`` on the two 2x2 blocks that
 the mode-swap symmetry splits ``F`` into (:func:`_lagged`): numpy suffices.
 
 Sign conventions here follow the linearization of the stochastic equations
@@ -58,27 +58,21 @@ def near_threshold(scales: DerivedScales, eps: float) -> bool:
 
 @dataclass(frozen=True)
 class BelowThresholdMatrices:
-    """Drift ``F``, diffusion ``D`` and the scalar ``s_sq`` below threshold.
+    """Drift ``F`` and diffusion ``D`` below threshold.
 
-    ``F`` has the block structure ``[[A, B], [conj(B), conj(A)]]``;
-    ``s_sq = gamma^2 + chi^2 + delta^2 - eps^2`` is the scalar controlling
-    the stationary correlators, strictly positive below threshold.
+    ``F`` has the block structure ``[[A, B], [conj(B), conj(A)]]``.
     """
 
     F: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
     D: np.ndarray
-    s_sq: float
 
 
 def below_matrices(params: SystemParams, scales: DerivedScales,
                    eps: float) -> BelowThresholdMatrices:
     """Linearized drift and diffusion around the zero solution."""
-    gamma, delta, chi = _require_symmetric(params)
+    _require_symmetric(params)
     F, D = _below_matrix_stacks(params, scales, _checked("eps", [eps], scales.eps_th))
-    return BelowThresholdMatrices(F=F[0], A=F[0, :2, :2], B=F[0, :2, 2:], D=D[0],
-                                  s_sq=gamma**2 + chi**2 + delta**2 - eps**2)
+    return BelowThresholdMatrices(F=F[0], D=D[0])
 
 
 def _below_matrix_stacks(params: SystemParams, scales: DerivedScales,
@@ -212,7 +206,6 @@ def _lagged(F: np.ndarray, C: np.ndarray, tau: float) -> np.ndarray:
         up, down = cmath.exp(h + s), cmath.exp(h - s)
         cosh, sinhc = (up + down) / 2, (up - down) / (2 * s)
     E = cosh * np.eye(2) + sinhc * (M - h * np.eye(2))
-    E = E.real if np.isrealobj(M) else E  # s is real or imaginary: cosh, sinhc are real
     return E @ C if tau >= 0 else C @ E
 
 
@@ -224,32 +217,25 @@ def mean_photon_below(params: SystemParams, scales: DerivedScales,
 
 @dataclass(frozen=True)
 class AboveThresholdMatrices:
-    """Decoupled (+)/(-) drift, diffusion and stationary covariances.
+    """Stationary covariances of the decoupled (+)/(-) number/phase pairs.
 
     The (+) pair is ``(dn2 + dn1, dphi2 + dphi1)``, the (-) pair the
-    differences.  ``C_plus``/``C_minus`` come from closed forms; ``F_minus``
-    and ``D_minus`` are reconstructed from the linearized dynamics (the
-    difference-pair diffusion is fixed by ``D = 2 F C``) and satisfy
-    ``D_minus == -D_plus``.  Cross-correlations between the (+) and (-)
-    pairs vanish identically.  ``n0``, ``phase_sum`` and ``phase_diff`` are
-    the photon number and locked phases of the steady state linearized about.
+    differences; ``C_plus``/``C_minus`` come from closed forms, and
+    cross-correlations between the two pairs vanish identically.  ``n0``,
+    ``phase_sum`` and ``phase_diff`` are the photon number and locked phases
+    of the steady state linearized about.
     """
 
-    F_plus: np.ndarray
-    F_minus: np.ndarray
-    D_plus: np.ndarray
-    D_minus: np.ndarray
     C_plus: np.ndarray
     C_minus: np.ndarray
     n0: float
     phase_sum: float
     phase_diff: float
-    near_threshold: bool
 
 
 def above_matrices(params: SystemParams, scales: DerivedScales,
                    eps: float) -> AboveThresholdMatrices:
-    """Fluctuation matrices around the stable locked solution."""
+    """Fluctuation covariances around the stable locked solution."""
     gamma, delta, chi = _require_symmetric(params)
     if delta == 0:
         raise SingularParameterError(
@@ -265,15 +251,6 @@ def above_matrices(params: SystemParams, scales: DerivedScales,
     sg = math.copysign(1.0, delta)
     ad = abs(delta)
     ch = chi - ad
-    sin_sum = math.sin(phase_sum)
-
-    F_plus = np.array([[2 * lam * n0, 4 * n0 * eps * sin_sum],
-                       [0.0, 2 * (gamma + lam * n0)]])
-    F_minus = np.array([[2 * gamma, -4 * n0 * chi * sg],
-                        [delta / n0, 0.0]])
-    D_plus = np.array([[4 * n0 * gamma, -2 * eps * sin_sum],
-                       [-2 * eps * sin_sum, -gamma / n0]])
-
     gl = gamma + lam * n0
     C_plus = np.array([
         [4 * n0 * (gamma * gl + ch**2), -2 * lam * n0 * ch * sg],
@@ -283,19 +260,5 @@ def above_matrices(params: SystemParams, scales: DerivedScales,
         [4 * n0 * chi * ch, 2 * chi * gamma * sg],
         [2 * chi * gamma * sg, (gamma**2 - ad * ch) / n0],
     ]) / (4 * ad * chi)
-    D_minus = 2 * F_minus @ C_minus
-
-    return AboveThresholdMatrices(
-        F_plus=F_plus, F_minus=F_minus, D_plus=D_plus, D_minus=D_minus,
-        C_plus=C_plus, C_minus=C_minus, n0=n0, phase_sum=phase_sum,
-        phase_diff=phase_diff, near_threshold=near_threshold(scales, eps))
-
-
-def temporal_corr_above(params: SystemParams, scales: DerivedScales,
-                        eps: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Two-time covariances of the (+) and (-) pairs at lag ``tau``.
-
-    ``tau = 0`` reproduces ``(C_plus, C_minus)`` exactly.
-    """
-    mats = above_matrices(params, scales, eps)
-    return _lagged(mats.F_plus, mats.C_plus, tau), _lagged(mats.F_minus, mats.C_minus, tau)
+    return AboveThresholdMatrices(C_plus=C_plus, C_minus=C_minus, n0=n0,
+                                  phase_sum=phase_sum, phase_diff=phase_diff)

@@ -334,13 +334,6 @@ def replace_pump(params: SystemParams, scales: DerivedScales,
     return replace(params, E=E), replace(scales, eps=eps)
 
 
-def drift_residual(params: SystemParams, scales: DerivedScales, eps: float,
-                   state: np.ndarray) -> float:
-    """Max absolute deterministic drift at ``state`` (zero for steady states)."""
-    p, s = replace_pump(params, scales, eps)
-    return float(np.abs(drift_field(np.asarray(state, complex), p, s)).max())
-
-
 def output_rates(params: SystemParams, scales: DerivedScales,
                  n0: float) -> tuple[float, float, float]:
     """Input pump photon flux and the two subharmonic output fluxes.

@@ -543,8 +543,10 @@ own = sorted(m for m in sys.modules if m.startswith("nopolock."))
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 params = nopolock.SystemParams.symmetric(gamma=1.0, delta=3.0, chi=0.5, eps=0.0, lam=1.0)
 scales = nopolock.derive_scales(params)
-for ratio, corr in ((0.5, nopolock.temporal_corr_below), (1.5, nopolock.temporal_corr_above)):
-    corr(*nopolock.replace_pump(params, scales, ratio * scales.eps_th), ratio * scales.eps_th, 0.7)
+eps = 0.5 * scales.eps_th
+nopolock.temporal_corr_below(*nopolock.replace_pump(params, scales, eps), eps, 0.7)
+eps = 1.5 * scales.eps_th
+nopolock.moments_above(*nopolock.replace_pump(params, scales, eps), eps)
 loaded = [m for m, module in sys.modules.items()
           if module and m.split(".")[0] in ("scipy", "multiprocessing")]
 print(json.dumps([codes, built_at_import, sorted(loaded), own]))
@@ -564,8 +566,8 @@ RUNS = [["figure", "3"],
 
 def test_cli_runs_load_neither_scipy_nor_multiprocessing(tmp_path):
     # a fresh interpreter: what these runs import is what a user's start pays for.
-    # With scipy blocked they and both temporal correlators still run: numpy is the
-    # only runtime dependency
+    # With scipy blocked they, the lagged correlator and the locked moments still run:
+    # numpy is the only runtime dependency
     src = str(Path(nopolock.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -2,7 +2,7 @@
 
 ``05_positive_p_monte_carlo.py`` is left out: it is a Monte Carlo run of
 about 5 s on a 2-core machine (the others take about 0.5 s each), and its
-engine is tested in ``test_montecarlo.py``.
+engine is tested in ``test_montecarlo.py``.  CI runs it in a step of its own.
 """
 
 import os

@@ -14,15 +14,13 @@ from nopolock import (MomentSet, NotSteadyStateError, ParameterDomainError,
                       QuadratureAngles, RegimeError, SingularParameterError,
                       SystemParams, above_matrices, below_matrices, derive_scales,
                       equal_time_corr_below, locking_feasible, mean_photon_below,
-                      moments_above, moments_below, optimal_angle_sum,
-                      stationary_covariance_below, temporal_corr_above,
-                      temporal_corr_below, unitary_minimum,
-                      unitary_variance, variance_steady, variance_sweep,
-                      variances_from_moments, wrap_angle)
+                      moments_above, moments_below, stationary_covariance_below,
+                      temporal_corr_below, unitary_minimum, unitary_variance,
+                      variance_steady, variance_sweep, variances_from_moments, wrap_angle)
 from nopolock import entanglement, fluctuations, steady
-from nopolock.entanglement import unitary_period
 from nopolock.steady import steady_state
 
+from _reference import lagged_above, optimal_angle_sum, unitary_period
 from conftest import CHI_NEAR_DELTA, THRESHOLD_SETS, assert_close, at_ratio, make_system
 
 
@@ -48,8 +46,9 @@ def exact_variances(gamma, delta, chi, eps, eps_th):
 
     Below threshold from the unfactored correlators: ``V = 1 + 2n - 2|<a1 a2>|``
     and ``R = 2 <a1+ a2> - 2 Re(<a1^2> conj <a1 a2>) / |<a1 a2>|``.  Above it from
-    the closed forms in ``w`` at the float ``eps_th``.  Only the square roots are
-    rounded, to 60 digits.
+    the closed forms in ``w``, with the threshold ``gamma^2 + (chi - |delta|)^2``
+    exact as on the other side; the float ``eps_th`` only picks the side, as in
+    :func:`variance_sweep`.  Only the square roots are rounded, to 60 digits.
     """
     def root(x):
         with localcontext() as ctx:
@@ -58,7 +57,7 @@ def exact_variances(gamma, delta, chi, eps, eps_th):
 
     g, d, c, e = map(Fraction, (gamma, delta, chi, eps))
     if eps >= eps_th:
-        w = root(1 + (e**2 - Fraction(eps_th)**2) / g**2)
+        w = root(1 + (e**2 - g**2 - (c - abs(d))**2) / g**2)
         return (Fraction(3, 4) - 1 / (4 * w) + c / (4 * abs(d)),
                 (1 if delta > 0 else -1) * (1 / w - (abs(d) - c) / abs(d)) / 4)
     s2 = g**2 + c**2 + d**2 - e**2
@@ -86,7 +85,7 @@ class TestVariancesFromMoments:
     def test_orthogonal_angle_difference_equalizes(self, standard):
         from nopolock.entanglement import moments_below
         moments = moments_below(*standard, eps=2.0)
-        ang = QuadratureAngles.from_sums(-moments.phi_arg, math.pi / 2)
+        ang = QuadratureAngles.from_sums(-cmath.phase(moments.m_aa), math.pi / 2)
         rep = variances_from_moments(moments, ang)
         assert rep.V_plus == pytest.approx(rep.V, abs=1e-12)
         assert rep.V_minus == pytest.approx(rep.V, abs=1e-12)
@@ -106,7 +105,7 @@ class TestVariancesFromMoments:
         moments = moments_below(*standard, eps=2.0)
         for dt in (0.0, 0.4, 2.0, -1.3):
             rep = variances_from_moments(
-                moments, QuadratureAngles.from_sums(-moments.phi_arg, dt))
+                moments, QuadratureAngles.from_sums(-cmath.phase(moments.m_aa), dt))
             assert rep.V == pytest.approx((rep.V_plus + rep.V_minus) / 2, abs=1e-12)
             assert rep.V_plus == pytest.approx(rep.V + rep.R * math.cos(dt), abs=1e-12)
             assert rep.product == pytest.approx(
@@ -132,7 +131,7 @@ class TestOptimalAngleSum:
         best = variances_from_moments(moments, optimal_angle_sum(moments)).V
         grid = np.linspace(-math.pi, math.pi, 10_000, endpoint=False)
         scanned = 1 + 2 * moments.n - 2 * (
-            abs(moments.m_aa) * np.cos(grid + moments.phi_arg))
+            abs(moments.m_aa) * np.cos(grid + cmath.phase(moments.m_aa)))
         assert scanned.min() >= best - 1e-9
 
     def test_minimized_value_formula(self, standard):
@@ -301,7 +300,7 @@ class TestVarianceAbove:
         monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
         above_matrices(params, scales, eps)
         moments_above(params, scales, eps)
-        temporal_corr_above(params, scales, eps, 0.5)
+        lagged_above(params, scales, eps, 0.5)
         assert calls == []
 
     def test_regime_and_singular_errors(self, standard):
@@ -509,20 +508,31 @@ class TestVarianceSweep:
 
     @pytest.mark.parametrize("chi, delta", THRESHOLD_SETS)
     def test_exact_to_threshold_on_both_sides(self, chi, delta):
-        # 1e-14 relative, or absolute where R = 0.  Above threshold eps^2 - eps_th^2
-        # rounds at the scale of eps_th^2, which moves V and R by up to
-        # 2^-52 eps_th^2 / (8 gamma^2) in absolute terms
+        # 1e-14 relative, or absolute where R = 0, on both sides: above threshold too the
+        # factor that vanishes at threshold is formed without cancellation
         params, scales = make_system(delta=delta, chi=chi)
         h = np.array([0.5, 1e-3, 1e-6, 1e-9, 1e-12])
         locks = chi > 0 and delta != 0  # a locked state exists above threshold
         eps = np.concatenate([1 - h, 1 + h] if locks else [1 - h]) * scales.eps_th
         sweep = variance_sweep(params, scales, eps)
         for i, e in enumerate(eps):
-            above = 2.0**-52 * scales.eps_th**2 / 8 if e >= scales.eps_th else 0.0
             for name, ref in zip(("V", "R"), exact_variances(1.0, delta, chi, e,
                                                              scales.eps_th)):
-                tol = (1e-14 * abs(float(ref)) if ref else 1e-14) + above
+                tol = 1e-14 * abs(float(ref)) if ref else 1e-14
                 assert abs(getattr(sweep, name)[i] - float(ref)) <= tol, (name, e / scales.eps_th)
+
+    @pytest.mark.parametrize("chi, delta", [(c, d) for c, d in THRESHOLD_SETS if c > 0 and d])
+    def test_locked_forms_within_ulps_on_every_decade(self, chi, delta):
+        # V = 1/2 + chi/(4|delta|) - k/4 adds terms of one sign (k <= 0), and R =
+        # sign(delta) (chi/|delta| + k)/4 rounds at the scale of its larger term: four
+        # ulps of each, on every decade of distance to threshold and out to 3 eps_th
+        params, scales = make_system(delta=delta, chi=chi)
+        ratios = np.concatenate([1 + np.logspace(-12, 0, 25), np.linspace(2.25, 3, 4)])
+        sweep = variance_sweep(params, scales, ratios * scales.eps_th)
+        for i, e in enumerate(ratios * scales.eps_th):
+            V, R = map(float, exact_variances(1.0, delta, chi, e, scales.eps_th))
+            assert abs(sweep.V[i] - V) <= 2.0**-50 * V, ratios[i]
+            assert abs(sweep.R[i] - R) <= 2.0**-50 * (chi / abs(delta) + 1) / 4, ratios[i]
 
     @pytest.mark.parametrize("index", [0, 200, 398])
     def test_drift_residual_guard_fires_at_one_point(self, standard, monkeypatch, index):
@@ -659,8 +669,12 @@ class TestUnitary:
 
     @pytest.mark.parametrize("eps", [1.0, 2.0])
     def test_period_only_in_oscillatory_regime(self, eps):
-        with pytest.raises(RegimeError, match="periodic only"):
-            unitary_period(1.0, eps)
+        # at eps >= chi V(t) dips once and then rises for good: it never comes back
+        t_min, v_min = unitary_minimum(1.0, eps)
+        values = unitary_variance(1.0, eps, np.linspace(t_min, 20 * t_min, 200))
+        assert values[0] == pytest.approx(v_min, rel=1e-12)
+        assert (np.diff(values) > 0).all()
+        assert values[-1] > 1
 
     def test_broadcasts_over_times(self):
         t = np.linspace(0.0, 3.0, 31)
@@ -749,16 +763,17 @@ class TestUnitaryMinimum:
         assert abs(v_min) < 1e-6
 
 
-#: the lagged evaluators, each with a pump (in units of threshold) it accepts
+#: the lag rule, each with a pump (in units of threshold) it accepts: the public
+#: below-threshold evaluator, and the locked pairs through the reference drift
 LAGGED = {"temporal_corr_below": (temporal_corr_below, 0.5),
-          "temporal_corr_above": (temporal_corr_above, 1.5)}
+          "lagged_above": (lagged_above, 1.5)}
 #: every public evaluator of the linearized theory that takes a pump, as
-#: ``f(params, scales, eps)``; the lagged ones at lag 0.5
+#: ``f(params, scales, eps)``; the lagged one at lag 0.5
 PUMP_EVALUATORS = {
     f.__name__: f for f in (steady_state, below_matrices, equal_time_corr_below,
                             stationary_covariance_below, mean_photon_below, moments_below,
                             above_matrices, moments_above, variance_steady, variance_sweep)
-} | {name: lambda p, s, eps, f=f: f(p, s, eps, 0.5) for name, (f, _) in LAGGED.items()}
+} | {"temporal_corr_below": lambda p, s, eps: temporal_corr_below(p, s, eps, 0.5)}
 UNITARY_ARGS = {"chi": 1.0, "eps": 0.5, "t": 1.0}
 
 
@@ -775,13 +790,6 @@ REFUSALS = (
     + [pytest.param(lambda p, s, kw={**UNITARY_ARGS, name: [x] if name == "t" else x}:
                     unitary_variance(**kw), refused(name, x), id=f"unitary_variance-{name}-{x}")
        for name in UNITARY_ARGS for x in (math.nan, math.inf)]
-    + [pytest.param(lambda p, s, chi=chi, eps=eps: unitary_period(chi, eps), refused(*bad),
-                    id=f"unitary_period-{chi}-{eps}")
-       for chi, eps, bad in ((math.nan, 1.0, ("chi", math.nan)),
-                             (1.0, math.nan, ("eps", math.nan)),
-                             (math.inf, 1.0, ("chi", math.inf)),
-                             (1.0, -0.5, ("eps", -0.5)),
-                             (-1.0, -2.0, ("chi", -1.0)))]
     + [pytest.param(lambda p, s: MomentSet(n=math.nan, m_aa=0.2, m_a1sq=0.05, m_cross=0.01),
                     "moments must be finite", id="MomentSet-n-nan"),
        pytest.param(lambda p, s: MomentSet(n=0.1, m_aa=math.inf, m_a1sq=0.05, m_cross=0.01),

@@ -10,11 +10,11 @@ from scipy.linalg import expm
 
 from nopolock import (ParameterDomainError, RegimeError, SingularParameterError,
                       SystemParams, above_matrices, below_matrices, derive_scales,
-                      equal_time_corr_below, mean_photon_below,
-                      stationary_covariance_below, temporal_corr_above,
-                      temporal_corr_below)
+                      equal_time_corr_below, fluctuations, mean_photon_below,
+                      stationary_covariance_below, temporal_corr_below)
 from nopolock.fluctuations import _lagged
 
+from _reference import above_dynamics, lagged_above
 from conftest import CHI_NEAR_DELTA, THRESHOLD_SETS, at_ratio, make_system
 
 
@@ -22,13 +22,12 @@ class TestBelowMatrices:
     def test_diagonal_block(self, standard):
         mats = below_matrices(*standard, eps=1.0)
         expected = np.array([[1 + 3j, 0.5j], [0.5j, 1 + 3j]])
-        np.testing.assert_allclose(mats.A, expected, atol=1e-15)
         np.testing.assert_allclose(mats.F[:2, :2], expected, atol=1e-15)
         np.testing.assert_allclose(mats.F[2:, 2:], expected.conj(), atol=1e-15)
 
     def test_no_pump_vacuum_dynamics(self, standard):
         mats = below_matrices(*standard, eps=0.0)
-        assert np.all(mats.B == 0)
+        assert np.all(mats.F[:2, 2:] == 0)
         assert np.all(mats.D == 0)
 
     def test_drift_diffusion_identity(self, standard):
@@ -47,9 +46,10 @@ class TestBelowMatrices:
         assert (mats.D @ mats.F.T == mats.F @ mats.D).all()
 
     def test_noise_scalar_positive_below_threshold(self, standard):
+        # s2 = gamma^2 + chi^2 + delta^2 - eps^2, the scalar of the stationary correlators
         params, scales = standard
-        for ratio in (0.1, 0.5, 0.9, 0.999):
-            assert below_matrices(params, scales, ratio * scales.eps_th).s_sq > 0
+        eps = np.array([0.1, 0.5, 0.9, 0.999]) * scales.eps_th
+        assert (fluctuations._below_factors(params, eps)[1] > 0).all()
 
     def test_regime_error_at_threshold(self, standard):
         params, scales = standard
@@ -237,11 +237,12 @@ class TestAboveMatrices:
 
     @pytest.mark.parametrize("delta", [3.0, -3.0])
     def test_plus_covariance_consistent_with_langevin(self, delta):
-        # (1/2) F+^-1 D+ must reproduce the closed-form covariance
+        # (1/2) F+^-1 D+ of the written-out dynamics must reproduce the closed form
         params, scales = make_system(delta=delta)
         _, _, eps = at_ratio(params, scales, 1.8)
         mats = above_matrices(params, scales, eps)
-        recon = 0.5 * np.linalg.solve(mats.F_plus, mats.D_plus)
+        F_plus, _, D_plus, _ = above_dynamics(params, scales, eps)
+        recon = 0.5 * np.linalg.solve(F_plus, D_plus)
         np.testing.assert_allclose(recon, mats.C_plus, atol=1e-10)
 
     @pytest.mark.parametrize("delta", [3.0, -3.0])
@@ -249,8 +250,9 @@ class TestAboveMatrices:
         params, scales = make_system(delta=delta)
         _, _, eps = at_ratio(params, scales, 1.5)
         mats = above_matrices(params, scales, eps)
-        np.testing.assert_allclose(mats.D_minus, -mats.D_plus, atol=1e-12)
-        recon = 0.5 * np.linalg.solve(mats.F_minus, mats.D_minus)
+        _, F_minus, D_plus, D_minus = above_dynamics(params, scales, eps)
+        np.testing.assert_allclose(D_minus, -D_plus, atol=1e-12)
+        recon = 0.5 * np.linalg.solve(F_minus, D_minus)
         np.testing.assert_allclose(recon, mats.C_minus, atol=1e-10)
 
     def test_covariances_finite_and_symmetric(self, standard):
@@ -262,33 +264,33 @@ class TestAboveMatrices:
 
     def test_both_pairs_relax(self, standard):
         params, scales, eps = at_ratio(*standard, 1.5)
-        mats = above_matrices(params, scales, eps)
-        for F in (mats.F_plus, mats.F_minus):
+        F_plus, F_minus, *_ = above_dynamics(params, scales, eps)
+        for F in (F_plus, F_minus):
             assert np.all(np.linalg.eigvals(F).real > 0)
 
     def test_near_threshold_flagged(self, standard):
-        params, scales = standard
-        assert above_matrices(params, scales, 1.01 * scales.eps_th).near_threshold
-        assert not above_matrices(params, scales, 1.5 * scales.eps_th).near_threshold
+        _, scales = standard
+        assert fluctuations.near_threshold(scales, 1.01 * scales.eps_th)
+        assert not fluctuations.near_threshold(scales, 1.5 * scales.eps_th)
 
 class TestTemporalAbove:
     def test_zero_lag_exact(self, standard):
         params, scales, eps = at_ratio(*standard, 1.5)
         mats = above_matrices(params, scales, eps)
-        Cp, Cm = temporal_corr_above(params, scales, eps, 0.0)
+        Cp, Cm = lagged_above(params, scales, eps, 0.0)
         np.testing.assert_allclose(Cp, mats.C_plus, atol=1e-14)
         np.testing.assert_allclose(Cm, mats.C_minus, atol=1e-14)
 
     def test_long_lag_decay(self, standard):
         params, scales, eps = at_ratio(*standard, 1.5)
-        Cp, Cm = temporal_corr_above(params, scales, eps, 50.0)
+        Cp, Cm = lagged_above(params, scales, eps, 50.0)
         assert np.abs(Cp).max() < 1e-12
         assert np.abs(Cm).max() < 1e-12
 
     def test_below_threshold_rejected(self, standard):
         params, scales = standard
         with pytest.raises(RegimeError):
-            temporal_corr_above(params, scales, 0.5 * scales.eps_th, 0.1)
+            lagged_above(params, scales, 0.5 * scales.eps_th, 0.1)
 
 
 #: (gamma, delta, chi): the standard point, delta < 0, chi = |delta| and a generic one
@@ -324,12 +326,13 @@ class TestClosedFormLag:
         for ratio in (1.2, 1.5, 3.0):
             params, scales, eps = at_ratio(*system, ratio)
             mats = above_matrices(params, scales, eps)
+            F_plus, F_minus, *_ = above_dynamics(params, scales, eps)
             scale = max(np.abs(mats.C_plus).max(), np.abs(mats.C_minus).max())
             for tau in LAGS[:-2] + [50.0, -50.0]:
-                Cp, Cm = temporal_corr_above(params, scales, eps, tau)
-                assert np.abs(Cp - expm_lagged(mats.F_plus, mats.C_plus, tau)).max() \
+                Cp, Cm = lagged_above(params, scales, eps, tau)
+                assert np.abs(Cp - expm_lagged(F_plus, mats.C_plus, tau)).max() \
                     <= 1e-12 * scale, (ratio, tau)
-                assert np.abs(Cm - expm_lagged(mats.F_minus, mats.C_minus, tau)).max() \
+                assert np.abs(Cm - expm_lagged(F_minus, mats.C_minus, tau)).max() \
                     <= 1e-12 * scale, (ratio, tau)
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 0.5 + 3j])
@@ -351,6 +354,6 @@ class TestClosedFormLag:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             below = temporal_corr_below(params, scales, 1.0, tau)
-            pairs = temporal_corr_above(above, above_scales, eps, tau)
+            pairs = lagged_above(above, above_scales, eps, tau)
         for C in (below, *pairs):
             assert np.isfinite(C).all() and not C.any()
