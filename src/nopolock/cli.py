@@ -39,24 +39,31 @@ OUTDIR_ENV = "NOPOLOCK_OUTDIR"
 #: larger sweeps are refused before any allocation
 MAX_SWEEP_POINTS = 10**6
 
-FIGURE_UNITARY_RATIOS = {1: (0.1, 0.4, 0.7), 2: (1.1, 2.0, 3.0)}
-FIGURE_STEADY_PARAMS = {3: ((0.1, 10.0), (0.5, 3.0), (0.5, 1.0)),
-                        4: ((0.5, 3.0),),
-                        5: ((0.1, 10.0), (0.5, 1.0))}
+#: figure -> (its ``variance`` sweep, the columns it writes, settings shared by its
+#: curves, each curve's own settings, which head the curve's CSV)
+FIGURES = {
+    1: ("chi_t:0:6:0.005", ["chi_t", "V"], {"chi": 1.0},
+        [{"eps_over_chi": ratio} for ratio in (0.1, 0.4, 0.7)]),
+    2: ("chi_t:0:1.2:0.002", ["chi_t", "V"], {"chi": 1.0},
+        [{"eps_over_chi": ratio} for ratio in (1.1, 2.0, 3.0)]),
+    3: ("eps_ratio:0.01:3:0.005", ["eps_ratio", "V", "flag"], {},
+        [{"chi": 0.1, "delta": 10.0}, {"chi": 0.5, "delta": 3.0}, {"chi": 0.5, "delta": 1.0}]),
+    4: ("eps_ratio:0.01:3:0.005", ["eps_ratio", "V_plus", "V_minus", "flag"], {},
+        [{"chi": 0.5, "delta": 3.0}]),
+    5: ("eps_ratio:0.01:3:0.005", ["eps_ratio", "product", "flag"], {},
+        [{"chi": 0.1, "delta": 10.0}, {"chi": 0.5, "delta": 1.0}]),
+}
 
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def fmt_rows(*columns, flag=None) -> list[str]:
-    """CSV lines of float columns, each value as ``"%.17g" % x == fmt(x)``, then ``flag``."""
-    cells = [np.asarray(column, dtype=float).tolist() for column in columns]
-    line = ",".join(["%.17g"] * len(cells))
-    if flag is not None:
-        cells.append(np.asarray(flag).tolist())
-        line += ",%s"
-    return [line % row for row in zip(*cells)]
+def fmt_rows(*columns) -> list[str]:
+    """CSV lines of columns: numbers as ``"%.17g" % x == fmt(x)``, strings as they are."""
+    cells = [np.asarray(column) for column in columns]
+    line = ",".join("%s" if cell.dtype.kind == "U" else "%.17g" for cell in cells)
+    return [line % row for row in zip(*(cell.tolist() for cell in cells))]
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +230,23 @@ def cmd_steady(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _variance_rows(params, scales, ns, var, grid):
+def _variance_columns(params, scales, var, grid, delta_theta=0.0, sigma_theta=0.0) -> dict:
+    """The ``variance`` CSV columns, by name, of a sweep of ``var`` over ``grid``."""
     if var == "chi_t":
         if not params.chi > 0:
             raise ParameterDomainError(
                 "unitary sweeps measure time as chi*t and need chi > 0")
-        values = unitary_variance(params.chi, scales.eps, grid / params.chi, ns.sigma_theta)
+        values = unitary_variance(params.chi, scales.eps, grid / params.chi, sigma_theta)
         with np.errstate(over="ignore"):  # V^2 is +inf once V passes the root of the float range
-            return fmt_rows(grid, values, np.zeros(grid.shape), values, values, values * values,
-                            flag=["ok"] * grid.size)
+            product = values * values
+        return {var: grid, "V": values, "R": np.zeros(grid.shape), "V_plus": values,
+                "V_minus": values, "product": product, "flag": np.full(grid.shape, "ok")}
     if var != "eps_ratio":
         raise ParameterDomainError(
             f"sweep variable must be chi_t (unitary) or eps_ratio (steady state), got {var!r}")
-    sweep = variance_sweep(params, scales, grid * scales.eps_th, ns.delta_theta)
-    return fmt_rows(grid, sweep.V, sweep.R, sweep.V_plus, sweep.V_minus, sweep.product,
-                    flag=sweep.flag)
+    sweep = variance_sweep(params, scales, grid * scales.eps_th, delta_theta)
+    return {var: grid, "V": sweep.V, "R": sweep.R, "V_plus": sweep.V_plus,
+            "V_minus": sweep.V_minus, "product": sweep.product, "flag": sweep.flag}
 
 
 def cmd_variance(ns: argparse.Namespace) -> int:
@@ -245,13 +254,12 @@ def cmd_variance(ns: argparse.Namespace) -> int:
         if not math.isfinite(getattr(ns, name)):
             raise ParameterDomainError(f"{name} must be finite, got {getattr(ns, name)}")
     params, scales = build_params(_settings(ns))
-    var, grid = parse_sweep(ns.sweep)
-    rows = _variance_rows(params, scales, ns, var, grid)
+    values = _variance_columns(params, scales, *parse_sweep(ns.sweep),
+                               ns.delta_theta, ns.sigma_theta)
     header = _header(ns, params, {"delta_theta": fmt(ns.delta_theta),
                                   "sigma_theta": fmt(ns.sigma_theta), "sweep": ns.sweep})
-    columns = [var, "V", "R", "V_plus", "V_minus", "product", "flag"]
     out = None if ns.output == "-" else _outdir(ns) / (ns.output or "variance.csv")
-    _write_csv(out, header, columns, rows)
+    _write_csv(out, header, list(values), fmt_rows(*values.values()))
     return 0
 
 
@@ -269,16 +277,14 @@ def cmd_mc(ns: argparse.Namespace) -> int:
         key: fmt(value) if isinstance(value, float) else value for key, value in setup.items()}})
     columns = ["observable", "mean_re", "mean_im", "std_error",
                "n_effective", "discard_fraction"]
-    rows = [",".join([e.label, fmt(e.mean.real), fmt(e.mean.imag), fmt(e.std_error),
-                      str(e.n_effective), fmt(e.discard_fraction)]) for e in estimates]
+    rows = fmt_rows(*zip(*[(e.label, e.mean.real, e.mean.imag, e.std_error, e.n_effective,
+                            e.discard_fraction) for e in estimates]))
     out = None if ns.output == "-" else _outdir(ns) / (ns.output or "mc.csv")
     if estimates:  # a histogram-only request writes the phase table alone
         _write_csv(out, header, columns, rows)
 
     if hist is not None:
-        rows = [f"{fmt(lo)},{fmt(hi)},{cd},{cs}"
-                for lo, hi, cd, cs in zip(hist.edges[:-1], hist.edges[1:],
-                                          hist.counts_diff, hist.counts_sum)]
+        rows = fmt_rows(hist.edges[:-1], hist.edges[1:], hist.counts_diff, hist.counts_sum)
         extra = {f"locked_fraction_{LOCKED_HALFWIDTH}": fmt(hist.locked_fraction())}
         if hist.note:
             extra["note"] = hist.note
@@ -289,39 +295,18 @@ def cmd_mc(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _figure_curves(n: int):
-    """Yield (filename, header-extra, columns, rows) per curve of figure ``n``."""
-    if n in FIGURE_UNITARY_RATIOS:
-        chi = 1.0
-        grid = np.arange(0.0, 6.0 + 1e-9, 0.005) if n == 1 else \
-            np.arange(0.0, 1.2 + 1e-9, 0.002)
-        for i, ratio in enumerate(FIGURE_UNITARY_RATIOS[n], 1):
-            values = unitary_variance(chi, ratio * chi, grid / chi)
-            yield (f"fig{n}_curve{i}.csv", {"eps_over_chi": fmt(ratio)},
-                   ["chi_t", "V"], fmt_rows(grid, values))
-        return
-    grid = np.arange(0.01, 3.0 + 1e-9, 0.005)
-    for i, (chi, delta) in enumerate(FIGURE_STEADY_PARAMS[n], 1):
-        params = SystemParams.symmetric(gamma=1.0, delta=delta, chi=chi, lam=1.0)
-        scales = derive_scales(params)
-        sweep = variance_sweep(params, scales, grid * scales.eps_th)
-        columns = {3: ["eps_ratio", "V", "flag"],
-                   4: ["eps_ratio", "V_plus", "V_minus", "flag"],
-                   5: ["eps_ratio", "product", "flag"]}[n]
-        values = [getattr(sweep, name) for name in columns[1:-1]]
-        yield (f"fig{n}_curve{i}.csv", {"chi": fmt(chi), "delta": fmt(delta)},
-               columns, fmt_rows(grid, *values, flag=sweep.flag))
-
-
 def cmd_figure(ns: argparse.Namespace) -> int:
-    n = ns.n
-    if n not in range(1, 6):
+    if ns.n not in FIGURES:
         raise ParameterDomainError("figure number must be 1..5")
+    sweep, columns, shared, curves = FIGURES[ns.n]
+    var, grid = parse_sweep(sweep)
     outdir = _outdir(ns)
-    for fname, extra, columns, rows in _figure_curves(n):
-        header = [f"# nopolock {__version__}", f"# command = figure {n}"]
-        header += [f"# {k} = {v}" for k, v in extra.items()]
-        _write_csv(outdir / fname, header, columns, rows)
+    for i, curve in enumerate(curves, 1):
+        values = _variance_columns(*build_params({**shared, **curve}), var, grid)
+        header = [f"# nopolock {__version__}", f"# command = figure {ns.n}"]
+        header += [f"# {key} = {fmt(value)}" for key, value in curve.items()]
+        _write_csv(outdir / f"fig{ns.n}_curve{i}.csv", header, columns,
+                   fmt_rows(*(values[name] for name in columns)))
     return 0
 
 

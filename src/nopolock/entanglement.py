@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError, SingularParameterError
-from .fluctuations import (_below_factors, _require_symmetric, above_matrices,
+from .errors import ParameterDomainError
+from .fluctuations import (_below_factors, _require_detuned, _require_symmetric, above_matrices,
                            equal_time_corr_below, equal_time_corr_below_stack, near_threshold)
 from .params import DerivedScales, QuadratureAngles, SystemParams, wrap_angle
 from .steady import _checked, _locked_family
@@ -226,10 +226,7 @@ def _above_columns(params: SystemParams, scales: DerivedScales, eps: np.ndarray)
     exact near threshold.  The sum angle is locked to the phase sum; at ``eps = eps_th``,
     where no locked state is lit, it is the limit of both sides.
     """
-    gamma, delta, chi = _require_symmetric(params)
-    if delta == 0:
-        raise SingularParameterError(
-            "above-threshold variances divide by |delta|; delta = 0 is singular")
+    gamma, delta, chi = _require_detuned(params)
     ad, sg = abs(delta), math.copysign(1.0, delta)
     lo, *_ = _below_factors(params, eps)
     w = np.sqrt(1 - lo / gamma**2)

@@ -51,6 +51,15 @@ def _require_symmetric(params: SystemParams) -> tuple[float, float, float]:
     return params.gamma1, params.delta1, params.chi
 
 
+def _require_detuned(params: SystemParams) -> tuple[float, float, float]:
+    """:func:`_require_symmetric`, also refusing ``delta = 0``, where the locked forms divide."""
+    gamma, delta, chi = _require_symmetric(params)
+    if delta == 0:
+        raise SingularParameterError(
+            "the locked-state closed forms divide by |delta|; delta = 0 is singular")
+    return gamma, delta, chi
+
+
 def near_threshold(scales: DerivedScales, eps: float) -> bool:
     """Whether ``eps`` lies in the band where linearization is unreliable."""
     return abs(eps - scales.eps_th) < NEAR_THRESHOLD_BAND * scales.eps_th
@@ -236,11 +245,7 @@ class AboveThresholdMatrices:
 def above_matrices(params: SystemParams, scales: DerivedScales,
                    eps: float) -> AboveThresholdMatrices:
     """Fluctuation covariances around the stable locked solution."""
-    gamma, delta, chi = _require_symmetric(params)
-    if delta == 0:
-        raise SingularParameterError(
-            "above-threshold fluctuation formulas divide by |delta|; "
-            "delta = 0 is a singular parameter point")
+    gamma, delta, chi = _require_detuned(params)
     if chi <= 0:
         raise ParameterDomainError("above-threshold locked fluctuations require chi > 0")
     pumps = _checked("eps", [eps], np.nextafter(scales.eps_th, math.inf), below=False)

@@ -70,7 +70,8 @@ class SimConfig:
     ``t_max`` must be a whole number of steps ``dt`` (to 1e-9 relative).
     ``chunk_size`` is part of the noise-stream layout: trajectory ``i``
     draws from the Philox stream keyed by ``(seed, i // chunk_size)``, so
-    changing it changes the realization (not the statistics).
+    changing it changes the realization (not the statistics).  A key word
+    holds ``[0, 2**64)``, the range ``seed`` must lie in.
     """
 
     dt: float = 1e-3
@@ -95,6 +96,8 @@ class SimConfig:
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ParameterDomainError(
                     f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ParameterDomainError(f"seed must be in [0, 2**64), got {self.seed!r}")
         if self.n_traj < 2:
             raise ParameterDomainError("n_traj must be at least 2")
         if not self.divergence_bound > 0:
@@ -149,7 +152,7 @@ def moment_label(spec: tuple[int, int, int, int]) -> str:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(chunk_index)])
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -61,7 +61,14 @@ def test_fmt_rows_equals_fmt_joined():
     assert fmt_rows(column, column[::-1]) == [
         f"{fmt(x)},{fmt(y)}" for x, y in zip(values, values[::-1])]
     flags = ["ok"] * len(values)
-    assert fmt_rows(column, flag=np.array(flags)) == [f"{fmt(x)},ok" for x in values]
+    assert fmt_rows(column, np.array(flags)) == [f"{fmt(x)},ok" for x in values]
+    # an mc row: the observable label leads, n_effective is an integer; and histogram counts
+    labels = ["n1", "a1*a2", "b1*a2", "a1", "a1^2", "1", "b2"]
+    counts = [0, 1, 7, 181, 2000, 10**6, 2**53]
+    assert fmt_rows(labels, column, counts, np.array(flags)) == [
+        ",".join([label, fmt(x), str(n), "ok"]) for label, x, n in zip(labels, values, counts)]
+    assert fmt_rows(column, np.array(counts, dtype=np.int64)) == [
+        ",".join([fmt(x), str(n)]) for x, n in zip(values, counts)]
 
 
 class TestVarianceCommand:
@@ -300,7 +307,9 @@ class TestMcCommand:
     @pytest.mark.parametrize("option, value, message", [
         ("--workers", "0", "n_workers"), ("--workers", "-3", "n_workers"),
         ("--t-max", "inf", "finite"), ("--dt", "nan", "finite"),
-        ("--moments", "", "nothing to estimate")])
+        ("--moments", "", "nothing to estimate"),
+        ("--seed", "-1", "seed must be in [0, 2**64), got -1"),
+        ("--seed", "18446744073709551616", "seed must be in [0, 2**64)")])
     def test_bad_settings_exit_code(self, tmp_path, capsys, option, value, message):
         assert main(MC_ARGS + [option, value, "--outdir", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
@@ -323,6 +332,22 @@ class TestMcCommand:
         assert code == 4
         assert capsys.readouterr().err.startswith("estimation error: discard fraction 0.1500")
         assert outputs(tmp_path) == []
+
+
+#: figure -> (its variance sweep, the columns it writes, each curve's variance flags)
+FIGURE_SWEEPS = {
+    1: ("chi_t:0:6:0.005", ["chi_t", "V"],
+        [["--chi", "1", "--eps-over-chi", ratio] for ratio in ("0.1", "0.4", "0.7")]),
+    2: ("chi_t:0:1.2:0.002", ["chi_t", "V"],
+        [["--chi", "1", "--eps-over-chi", ratio] for ratio in ("1.1", "2", "3")]),
+    3: ("eps_ratio:0.01:3:0.005", ["eps_ratio", "V", "flag"],
+        [["--chi", "0.1", "--delta", "10"], ["--chi", "0.5", "--delta", "3"],
+         ["--chi", "0.5", "--delta", "1"]]),
+    4: ("eps_ratio:0.01:3:0.005", ["eps_ratio", "V_plus", "V_minus", "flag"],
+        [["--chi", "0.5", "--delta", "3"]]),
+    5: ("eps_ratio:0.01:3:0.005", ["eps_ratio", "product", "flag"],
+        [["--chi", "0.1", "--delta", "10"], ["--chi", "0.5", "--delta", "1"]]),
+}
 
 
 class TestFigureCommand:
@@ -353,6 +378,24 @@ class TestFigureCommand:
         assert main(["figure", "4", "--outdir", str(tmp_path)]) == 0
         _, columns, rows = read_csv(tmp_path / "fig4_curve1.csv")
         assert {"V_plus", "V_minus"} <= set(columns)
+
+    @pytest.mark.parametrize("n", FIGURE_SWEEPS)
+    def test_figure_is_its_variance_sweeps(self, tmp_path, n):
+        # each curve is the variance sweep at its settings, cut to the figure's columns
+        sweep, names, curves = FIGURE_SWEEPS[n]
+        assert main(["figure", str(n), "--outdir", str(tmp_path)]) == 0
+        assert outputs(tmp_path) == [f"fig{n}_curve{i}.csv" for i in range(1, len(curves) + 1)]
+        for i, settings in enumerate(curves, 1):
+            _, columns, rows = read_csv(tmp_path / f"fig{n}_curve{i}.csv")
+            assert main(["variance", *settings, "--sweep", sweep, "--outdir", str(tmp_path),
+                         "--output", "v.tmp"]) == 0
+            _, all_columns, expected = read_csv(tmp_path / "v.tmp")
+            picked = [all_columns.index(name) for name in names]
+            assert columns == names
+            assert rows == [[row[j] for j in picked] for row in expected]
+            if n == 3:  # the grid hits threshold and its end exactly
+                ratios = [row[0] for row in rows]
+                assert ratios[198] == "1" and ratios[-1] == "3"
 
     def test_bad_figure_number(self, capsys):
         assert main(["figure", "7"]) == 2

@@ -525,10 +525,17 @@ class TestSimConfigDomain:
         ("n_traj", 1, "n_traj must be at least 2"),
         ("divergence_bound", 0.0, "divergence_bound must be positive"),
         ("sample_every", 0, "sample_every and chunk_size must be >= 1"),
-        ("chunk_size", 0, "sample_every and chunk_size must be >= 1")])
+        ("chunk_size", 0, "sample_every and chunk_size must be >= 1"),
+        ("seed", -1, r"seed must be in \[0, 2\*\*64\), got -1"),
+        ("seed", 2**64, r"seed must be in \[0, 2\*\*64\), got 18446744073709551616")])
     def test_settings_out_of_range_refused(self, field, value, message):
         with pytest.raises(ParameterDomainError, match=message):
             SimConfig(**{field: value})
+
+    def test_seed_range_ends_are_accepted(self):
+        # a Philox key word holds [0, 2**64): no seed outside it aliases one inside
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert SimConfig(seed=seed).seed == seed
 
     def test_scheme_is_not_a_setting(self):
         # Euler-Ito is the only integrator: a second scheme brings its own field
